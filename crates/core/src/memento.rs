@@ -130,15 +130,19 @@ pub struct Memento<K: Eq + Hash + Clone> {
     overflow_check: MultipleCheck,
     /// τ-sampler (random-number table).
     sampler: TableSampler,
-    /// Leftover geometric skip carried between [`Self::update_batch`] calls:
-    /// number of packets that must still receive Window updates before the
-    /// next Full update. `None` until the batch path first draws a skip.
+    /// Leftover geometric skip carried between batch calls (both entry
+    /// points): number of own packets that must still receive Window
+    /// updates before the next Full update. `None` until the batch path
+    /// first draws a skip.
     batch_skip: Option<u64>,
     /// Reused scratch for the batch pipeline: the in-batch indices of the
     /// τ-sampled keys, computed by the skip-drawing pass so the replay pass
     /// can prefetch ahead. Kept on the struct to amortize the allocation
     /// across batches; always logically empty between calls.
     batch_sampled: Vec<usize>,
+    /// Reused scratch for [`Self::update_batch_positioned`]'s offset scan
+    /// (window offset just past each key), logically empty between calls.
+    batch_offsets: Vec<u64>,
     /// Total packets processed (full + window updates).
     processed: u64,
     /// Number of Full updates performed (for diagnostics/tests).
@@ -209,6 +213,7 @@ impl<K: Eq + Hash + Clone> Memento<K> {
             sampler: TableSampler::with_seed(config.tau, config.seed),
             batch_skip: None,
             batch_sampled: Vec::new(),
+            batch_offsets: Vec::new(),
             processed: 0,
             full_updates: 0,
             last_absent: 0,
@@ -391,82 +396,28 @@ impl<K: Eq + Hash + Clone> Memento<K> {
     /// the per-packet loop (bit-for-bit identical behaviour, which the
     /// workspace's property tests assert for WCSS).
     ///
-    /// A partially consumed skip is carried across calls, so splitting a
-    /// stream into arbitrary batches does not bias the sampling rate.
+    /// A partially consumed skip is carried across calls — and across
+    /// [`Self::update_batch_positioned`] calls, which share it — so
+    /// splitting a stream into arbitrary batches does not bias the
+    /// sampling rate.
     ///
-    /// The batch is processed in two passes so the probe misses overlap:
-    /// the first pass draws the geometric skips (in exactly the order and
-    /// count the interleaved reference loop would — the draws depend only
-    /// on the sampler state, never on the keys or the summary, so hoisting
-    /// them preserves the RNG stream bit-for-bit) and records which batch
-    /// indices receive Full updates; the second pass replays the window
-    /// advances and Full updates in stream order while software-prefetching
-    /// the in-frame summary's index lines for the sampled key a
-    /// [`PREFETCH_LOOKAHEAD`] ahead (see [`memento_sketches::fasthash::prefetch`]).
-    /// The seed's interleaved loop survives as
-    /// `update_batch_reference` for the differential property tests.
+    /// Both batch entry points run on one replay core per τ regime; here
+    /// key `i` lands at window offset `i + 1`. At τ < 1 the core makes two
+    /// passes so the probe misses overlap: the first draws the geometric
+    /// skips, jumping straight from one sampled index to the next (the
+    /// draws never read the keys or the summary, so hoisting them keeps
+    /// the RNG stream bit-for-bit); the second visits only the sampled
+    /// keys, one closed-form window advance and one Full update each,
+    /// prefetching the in-frame summary's lines a [`PREFETCH_LOOKAHEAD`]
+    /// ahead (see [`memento_sketches::fasthash::prefetch`]). The seed's
+    /// interleaved loop survives as `update_batch_reference` for the
+    /// differential property tests.
     pub fn update_batch(&mut self, keys: &[K]) {
         if self.tau >= 1.0 {
-            // Every packet is a Full update: pipeline directly over the
-            // input. Each key is hashed once — when its prefetch is
-            // issued, PREFETCH_LOOKAHEAD slots early — and the hash rides
-            // the ring buffer to the key's own probe.
-            let mut hashes = [0u64; PREFETCH_LOOKAHEAD];
-            for (j, key) in keys.iter().take(PREFETCH_LOOKAHEAD).enumerate() {
-                hashes[j] = hash_one(key);
-            }
-            for (i, key) in keys.iter().enumerate() {
-                let slot = i % PREFETCH_LOOKAHEAD;
-                let hash = hashes[slot];
-                if let Some(ahead) = keys.get(i + PREFETCH_LOOKAHEAD) {
-                    let h = hash_one(ahead);
-                    self.y.prefetch_hashed(h);
-                    hashes[slot] = h;
-                }
-                self.full_update_hashed(key.clone(), Some(hash));
-            }
-            return;
+            self.replay_every_key(keys, |_| 0);
+        } else {
+            self.replay_sampled(keys, |i| i as u64 + 1);
         }
-        let mut sampled = std::mem::take(&mut self.batch_sampled);
-        sampled.clear();
-        let ln_keep = (1.0 - self.tau).ln();
-        let mut skip = match self.batch_skip.take() {
-            Some(s) => s,
-            None => self.draw_skip(ln_keep),
-        };
-        let mut i = 0usize;
-        while i < keys.len() {
-            let remaining = (keys.len() - i) as u64;
-            if skip >= remaining {
-                // No Full update lands in the rest of this batch.
-                skip -= remaining;
-                break;
-            }
-            let idx = i + skip as usize;
-            sampled.push(idx);
-            i = idx + 1;
-            skip = self.draw_skip(ln_keep);
-        }
-        self.batch_skip = Some(skip);
-        let mut hashes = [0u64; PREFETCH_LOOKAHEAD];
-        for (j, &idx) in sampled.iter().take(PREFETCH_LOOKAHEAD).enumerate() {
-            hashes[j] = hash_one(&keys[idx]);
-        }
-        let mut pos = 0usize;
-        for (s, &idx) in sampled.iter().enumerate() {
-            let slot = s % PREFETCH_LOOKAHEAD;
-            let hash = hashes[slot];
-            if let Some(&ahead) = sampled.get(s + PREFETCH_LOOKAHEAD) {
-                let h = hash_one(&keys[ahead]);
-                self.y.prefetch_hashed(h);
-                hashes[slot] = h;
-            }
-            self.advance_window(idx - pos);
-            self.full_update_hashed(keys[idx].clone(), Some(hash));
-            pos = idx + 1;
-        }
-        self.advance_window(keys.len() - pos);
-        self.batch_sampled = sampled;
     }
 
     /// Bit-for-bit reference for [`Self::update_batch`]: the seed's
@@ -509,36 +460,72 @@ impl<K: Eq + Hash + Clone> Memento<K> {
     /// advances — they are sampled by their owners, so they never consume
     /// this instance's geometric skip — while the instance's own keys are
     /// τ-sampled exactly as in [`Self::update_batch`]: with all gaps zero
-    /// the two paths are bit-for-bit identical. Owed window positions
-    /// (gaps plus unsampled own packets) accumulate and are advanced in
-    /// bulk right before each Full update, so the per-key constant work
-    /// stays at the batch path's level.
+    /// the two paths are bit-for-bit identical, and they share the carried
+    /// skip.
     ///
-    /// Like [`Self::update_batch`], the work is split into a skip-drawing
-    /// pass (identical RNG stream) and a replay pass that prefetches the
-    /// sampled keys a [`PREFETCH_LOOKAHEAD`] ahead of their probes; the
-    /// seed's interleaved loop survives as
-    /// `update_batch_positioned_reference` for the differential tests.
+    /// Runs on [`Self::update_batch`]'s replay cores with key `i` landing
+    /// at `at[i] = Σ_{j≤i} (gaps[j] + 1)`. At τ ≥ 1 each Full update
+    /// follows a closed-form `skip(gaps[i])`. At τ < 1 one offset scan
+    /// fills `at` in a reused buffer, and each sampled key's advance
+    /// covers the foreign gaps and the unsampled own packets before it in
+    /// one step: `update_batch`'s per-key cost plus one scan step. The seed's
+    /// interleaved loop survives as `update_batch_positioned_reference`
+    /// for the differential tests.
+    ///
+    /// # Panics
+    /// Panics if `gaps` and `keys` differ in length, or if τ < 1 and the
+    /// batch's offsets overflow: `Σ (gaps[i] + 1) > u64::MAX`. Both checks
+    /// run before any state changes.
     pub fn update_batch_positioned(&mut self, gaps: &[u64], keys: &[K]) {
         assert_eq!(gaps.len(), keys.len(), "one gap stamp per key");
         if self.tau >= 1.0 {
-            let mut hashes = [0u64; PREFETCH_LOOKAHEAD];
-            for (j, key) in keys.iter().take(PREFETCH_LOOKAHEAD).enumerate() {
-                hashes[j] = hash_one(key);
-            }
-            for (i, (gap, key)) in gaps.iter().zip(keys).enumerate() {
-                let slot = i % PREFETCH_LOOKAHEAD;
-                let hash = hashes[slot];
-                if let Some(ahead) = keys.get(i + PREFETCH_LOOKAHEAD) {
-                    let h = hash_one(ahead);
-                    self.y.prefetch_hashed(h);
-                    hashes[slot] = h;
-                }
-                self.skip(*gap);
-                self.full_update_hashed(key.clone(), Some(hash));
-            }
+            self.replay_every_key(keys, |i| gaps[i]);
             return;
         }
+        let mut at = std::mem::take(&mut self.batch_offsets);
+        at.clear();
+        let mut end = 0u64;
+        at.extend(gaps.iter().map(|&gap| {
+            end = end
+                .checked_add(gap)
+                .and_then(|e| e.checked_add(1))
+                .expect("update_batch_positioned: the batch's gap sum overflows u64");
+            end
+        }));
+        self.replay_sampled(keys, |i| at[i]);
+        self.batch_offsets = at;
+    }
+
+    /// The τ ≥ 1 replay core: every key is a Full update after a
+    /// closed-form advance over `gap(i)` foreign positions (constant 0
+    /// from [`Self::update_batch`], where it compiles away). Each key is
+    /// hashed once, when its prefetch is issued [`PREFETCH_LOOKAHEAD`]
+    /// keys early, and the hash rides a ring buffer to the key's probe.
+    #[inline(always)]
+    fn replay_every_key(&mut self, keys: &[K], gap: impl Fn(usize) -> u64) {
+        let mut hashes = [0u64; PREFETCH_LOOKAHEAD];
+        for (j, key) in keys.iter().take(PREFETCH_LOOKAHEAD).enumerate() {
+            hashes[j] = hash_one(key);
+        }
+        for (i, key) in keys.iter().enumerate() {
+            let slot = i % PREFETCH_LOOKAHEAD;
+            let hash = hashes[slot];
+            if let Some(ahead) = keys.get(i + PREFETCH_LOOKAHEAD) {
+                let h = hash_one(ahead);
+                self.y.prefetch_hashed(h);
+                hashes[slot] = h;
+            }
+            self.skip(gap(i));
+            self.full_update_hashed(key.clone(), Some(hash));
+        }
+    }
+
+    /// The τ < 1 replay core. `end(i)`, strictly increasing, is the
+    /// window offset from the batch start just past key `i`; advancing to
+    /// `end(idx) − 1` before each sampled key covers exactly what the
+    /// per-key reference loop owes there.
+    #[inline(always)]
+    fn replay_sampled(&mut self, keys: &[K], end: impl Fn(usize) -> u64) {
         let mut sampled = std::mem::take(&mut self.batch_sampled);
         sampled.clear();
         let ln_keep = (1.0 - self.tau).ln();
@@ -546,42 +533,40 @@ impl<K: Eq + Hash + Clone> Memento<K> {
             Some(s) => s,
             None => self.draw_skip(ln_keep),
         };
-        for i in 0..keys.len() {
-            if skip == 0 {
-                sampled.push(i);
-                skip = self.draw_skip(ln_keep);
-            } else {
-                skip -= 1;
+        let mut i = 0usize;
+        while i < keys.len() {
+            let remaining = (keys.len() - i) as u64;
+            if skip >= remaining {
+                // No Full update lands in the rest of this batch.
+                skip -= remaining;
+                break;
             }
+            let idx = i + skip as usize;
+            sampled.push(idx);
+            i = idx + 1;
+            skip = self.draw_skip(ln_keep);
         }
         self.batch_skip = Some(skip);
-        // Window positions owed before the next Full update: foreign gaps
-        // plus own packets the sampler passed over.
-        let mut pending: u64 = 0;
-        let mut next = 0usize;
         let mut hashes = [0u64; PREFETCH_LOOKAHEAD];
         for (j, &idx) in sampled.iter().take(PREFETCH_LOOKAHEAD).enumerate() {
             hashes[j] = hash_one(&keys[idx]);
         }
-        for (i, (gap, key)) in gaps.iter().zip(keys).enumerate() {
-            pending += gap;
-            if sampled.get(next) == Some(&i) {
-                let slot = next % PREFETCH_LOOKAHEAD;
-                let hash = hashes[slot];
-                if let Some(&ahead) = sampled.get(next + PREFETCH_LOOKAHEAD) {
-                    let h = hash_one(&keys[ahead]);
-                    self.y.prefetch_hashed(h);
-                    hashes[slot] = h;
-                }
-                self.skip(pending);
-                pending = 0;
-                self.full_update_hashed(key.clone(), Some(hash));
-                next += 1;
-            } else {
-                pending += 1;
+        // Offset reached so far: just past the previous sampled key.
+        let mut done = 0u64;
+        for (s, &idx) in sampled.iter().enumerate() {
+            let slot = s % PREFETCH_LOOKAHEAD;
+            let hash = hashes[slot];
+            if let Some(&ahead) = sampled.get(s + PREFETCH_LOOKAHEAD) {
+                let h = hash_one(&keys[ahead]);
+                self.y.prefetch_hashed(h);
+                hashes[slot] = h;
             }
+            let at = end(idx);
+            self.skip(at - 1 - done);
+            self.full_update_hashed(keys[idx].clone(), Some(hash));
+            done = at;
         }
-        self.skip(pending);
+        self.skip(keys.len().checked_sub(1).map_or(0, &end) - done);
         self.batch_sampled = sampled;
     }
 
@@ -1408,6 +1393,15 @@ mod tests {
                 "fused path diverges for flow {flow}"
             );
         }
+    }
+
+    /// A batch whose offsets overflow `u64` panics, naming the overflow,
+    /// instead of wrapping the window arithmetic.
+    #[test]
+    #[should_panic(expected = "gap sum overflows u64")]
+    fn positioned_batch_gap_sum_overflow_panics() {
+        let mut memento = Memento::new(8, 100, 0.5, 1);
+        memento.update_batch_positioned(&[u64::MAX / 2, u64::MAX / 2], &[1u64, 2]);
     }
 
     /// With gaps, the positioned path equals the naive skip+update replay

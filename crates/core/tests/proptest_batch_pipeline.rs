@@ -12,7 +12,9 @@
 //! These tests pin that equivalence on arbitrary streams: random key
 //! mixes, random chunk sizes (so batches straddle block and frame
 //! boundaries), every τ regime (WCSS τ = 1, moderate and aggressive
-//! sampling), and — for the positioned path — random inter-arrival gaps.
+//! sampling), and — for the positioned path — random inter-arrival gaps
+//! up to whole windows and ~2^40 positions, plus all-zero gaps against
+//! `update_batch` itself.
 
 use memento_core::{Memento, SlidingWindowEstimator, Wcss};
 use proptest::prelude::*;
@@ -42,6 +44,17 @@ fn assert_same_state(pipelined: &Memento<u64>, reference: &Memento<u64>, keyspac
     }
 }
 
+/// Inter-arrival gaps for the positioned path: mostly within a block, some
+/// at least `W` = 900 (a frame flush; from ~940 on every block rotates out
+/// and the window clears wholesale), some near 2^40.
+fn gap() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        30 => 0u64..9,
+        1 => 900u64..3_000,
+        1 => (1u64 << 40) - 1_000..(1u64 << 40) + 1_000,
+    ]
+}
+
 proptest! {
     /// Pipelined `update_batch` ≡ the seed per-key loop
     /// (`update_batch_reference`), bit for bit, in every τ regime.
@@ -64,10 +77,11 @@ proptest! {
 
     /// Pipelined `update_batch_positioned` ≡ the seed fused gap+key loop
     /// (`update_batch_positioned_reference`), bit for bit, with random
-    /// inter-arrival gaps straddling block and frame boundaries.
+    /// inter-arrival gaps straddling block and frame boundaries and
+    /// advancing over whole windows.
     #[test]
     fn pipelined_positioned_batch_equals_reference(
-        stream in prop::collection::vec((0u64..9, 0u64..48), 0..1200),
+        stream in prop::collection::vec((gap(), 0u64..48), 0..1200),
         chunk in 1usize..300,
         tau_idx in 0usize..3,
         seed in 0u64..1_000,
@@ -83,6 +97,35 @@ proptest! {
             reference.update_batch_positioned_reference(&gaps[start..end], &keys[start..end]);
         }
         assert_same_state(&pipelined, &reference, 48);
+    }
+
+    /// `update_batch_positioned` with all gaps zero ≡ `update_batch`, bit
+    /// for bit, in every τ regime. The two entry points share the carried
+    /// geometric skip, so alternating them chunk by chunk on one instance
+    /// must stay identical too.
+    #[test]
+    fn zero_gap_positioned_batch_equals_update_batch(
+        keys in prop::collection::vec(0u64..48, 0..1500),
+        chunk in 1usize..400,
+        tau_idx in 0usize..3,
+        seed in 0u64..1_000,
+    ) {
+        let tau = TAUS[tau_idx];
+        let fresh = || Memento::new(24, 900, tau, seed.wrapping_add(1));
+        let (mut plain, mut positioned, mut alternating) = (fresh(), fresh(), fresh());
+        let zeros = vec![0u64; chunk];
+        for (c, part) in keys.chunks(chunk).enumerate() {
+            let gaps = &zeros[..part.len()];
+            plain.update_batch(part);
+            positioned.update_batch_positioned(gaps, part);
+            if c % 2 == 0 {
+                alternating.update_batch(part);
+            } else {
+                alternating.update_batch_positioned(gaps, part);
+            }
+        }
+        assert_same_state(&positioned, &plain, 48);
+        assert_same_state(&alternating, &plain, 48);
     }
 
     /// WCSS rides the same τ = 1 pipeline: its batched updates must match

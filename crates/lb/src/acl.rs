@@ -3,13 +3,15 @@
 //! The paper extends HAProxy's ACLs so that mitigation can act on entire
 //! subnets rather than individual flows: a rule maps a source prefix to an
 //! action (Deny, Tarpit, or a rate limit). Lookup is longest-prefix-match, so
-//! a specific exemption can coexist with a broad block.
+//! a more specific rule overrides a broader one: a /16 `RateLimit` inside a
+//! /8 `Deny` rate-limits its own /16 while the rest of the /8 stays blocked.
 
 use std::collections::HashMap;
 
 use memento_core::{GrainMap, TimedWindow, WindowQuery};
+use memento_hierarchy::prefix::BYTE_PREFIX_LENGTHS;
 use memento_hierarchy::Prefix1D;
-use memento_sketches::ExactWindow;
+use memento_sketches::{ExactWindow, FastBuildHasher};
 
 /// Grains per rate-limit window (PR 9): expiry granularity is
 /// `window / 64` ticks, the same sub-window grain count Kong and
@@ -47,10 +49,27 @@ pub enum AclAction {
 /// behind the admissions and an entry expires at most one grain late,
 /// never early: a burst cannot over-admit in *any* `window`-tick span,
 /// including spans straddling grain boundaries.
+///
+/// # Layout and lookup cost
+/// The rules live in one map per byte-granular prefix length, in
+/// [`BYTE_PREFIX_LENGTHS`] order (/32 first), each keyed by the masked
+/// network address. [`matching_rule`](Self::matching_rule) walks the lengths
+/// from most to least specific and probes only those that hold a rule, with
+/// one hash of a `u32` each: a table of /8 rules costs one probe per
+/// request, and an empty table none.
+///
+/// The maps hash with the workspace's unkeyed [`FastBuildHasher`]. Its
+/// module restricts it to tables whose population is bounded by
+/// construction, and this one qualifies: it holds only the installed rules
+/// (the operator's, or the subnets the controller detected, which its
+/// heavy-hitter threshold bounds), and a lookup never inserts. A source
+/// address an attacker chooses can only probe the table, not grow it.
 #[derive(Debug, Clone, Default)]
 pub struct AclTable {
-    /// Rules indexed by prefix (byte-granular lengths only).
-    rules: HashMap<Prefix1D, AclAction>,
+    /// Rules of each prefix length, indexed by [`Prefix1D::depth`] (the
+    /// position of the length in [`BYTE_PREFIX_LENGTHS`]) and keyed by the
+    /// masked address.
+    rules: [HashMap<u32, AclAction, FastBuildHasher>; BYTE_PREFIX_LENGTHS.len()],
     /// Sliding record of admitted requests per rate-limited prefix, on the
     /// time plane: positions are admissions, ticks come from the caller's
     /// clock (or the internal one-tick-per-request clock).
@@ -84,46 +103,61 @@ impl AclTable {
 
     /// Number of installed rules.
     pub fn len(&self) -> usize {
-        self.rules.len()
+        self.rules.iter().map(HashMap::len).sum()
     }
 
     /// True when no rule is installed.
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
+        self.rules.iter().all(HashMap::is_empty)
     }
 
     /// Installs (or replaces) a rule.
+    ///
+    /// Replacing a rule with a different action drops the prefix's
+    /// rate-limit window: a new `RateLimit` starts with its full budget and
+    /// its own window length, and a `Deny` or `Tarpit` keeps no window.
+    /// Re-installing the identical action keeps the window, so the budget
+    /// already spent stays spent.
     pub fn insert(&mut self, prefix: Prefix1D, action: AclAction) {
-        self.rules.insert(prefix, action);
+        if self.rules[prefix.depth()].insert(prefix.addr(), action) != Some(action) {
+            self.rate_windows.remove(&prefix);
+        }
     }
 
     /// Removes a rule; returns whether one existed.
     pub fn remove(&mut self, prefix: &Prefix1D) -> bool {
         self.rate_windows.remove(prefix);
-        self.rules.remove(prefix).is_some()
+        self.rules[prefix.depth()].remove(&prefix.addr()).is_some()
     }
 
     /// True when a rule exists for exactly this prefix.
     pub fn contains(&self, prefix: &Prefix1D) -> bool {
-        self.rules.contains_key(prefix)
+        self.rules[prefix.depth()].contains_key(&prefix.addr())
     }
 
     /// The installed rules (for inspection / synchronization).
-    pub fn rules(&self) -> impl Iterator<Item = (&Prefix1D, &AclAction)> {
-        self.rules.iter()
+    pub fn rules(&self) -> impl Iterator<Item = (Prefix1D, AclAction)> + '_ {
+        BYTE_PREFIX_LENGTHS
+            .iter()
+            .zip(&self.rules)
+            .flat_map(|(&len, rules)| {
+                rules
+                    .iter()
+                    .map(move |(&addr, &action)| (Prefix1D::new(addr, len), action))
+            })
     }
 
-    /// Longest-prefix-match lookup of the rule covering `src`, if any.
+    /// Longest-prefix-match lookup of the rule covering `src`, if any: one
+    /// probe per prefix length that holds a rule, most specific first.
     pub fn matching_rule(&self, src: u32) -> Option<(Prefix1D, AclAction)> {
-        // Byte-granular prefixes: probe /32, /24, /16, /8, /0 from most to
-        // least specific.
-        for len in [32u8, 24, 16, 8, 0] {
-            let p = Prefix1D::new(src, len);
-            if let Some(a) = self.rules.get(&p) {
-                return Some((p, *a));
-            }
-        }
-        None
+        BYTE_PREFIX_LENGTHS
+            .iter()
+            .zip(&self.rules)
+            .filter(|(_, rules)| !rules.is_empty())
+            .find_map(|(&len, rules)| {
+                let prefix = Prefix1D::new(src, len);
+                rules.get(&prefix.addr()).map(|&action| (prefix, action))
+            })
     }
 
     /// Evaluates a request from `src` arriving at clock tick `now`: returns
@@ -312,5 +346,53 @@ mod tests {
         acl.insert(Prefix1D::new(addr(1, 0, 0, 0), 8), AclAction::Deny);
         acl.insert(Prefix1D::new(addr(2, 0, 0, 0), 8), AclAction::Tarpit);
         assert_eq!(acl.rules().count(), 2);
+    }
+
+    #[test]
+    fn replacing_a_rate_limit_starts_a_fresh_window() {
+        let mut acl = AclTable::new();
+        let p = Prefix1D::new(addr(24, 0, 0, 0), 8);
+        let src = addr(24, 1, 1, 1);
+        acl.insert(
+            p,
+            AclAction::RateLimit {
+                max_per_window: 1,
+                window: 1_000,
+            },
+        );
+        assert_eq!(acl.evaluate_at(src, 100), None);
+        // The replacement counts over 10 ticks, so a request 50 ticks after
+        // the last admission gets in: the old 1,000-tick window went with
+        // the old rule.
+        acl.insert(
+            p,
+            AclAction::RateLimit {
+                max_per_window: 1,
+                window: 10,
+            },
+        );
+        assert_eq!(acl.evaluate_at(src, 150), None);
+        assert!(acl.evaluate_at(src, 155).is_some(), "new budget spent");
+        assert_eq!(acl.evaluate_at(src, 170), None, "new window slid past");
+        // A Deny that replaces the rate limit keeps no window behind.
+        acl.insert(p, AclAction::Deny);
+        assert_eq!(acl.evaluate_at(src, 171), Some(AclAction::Deny));
+        assert!(acl.rate_windows.is_empty());
+    }
+
+    #[test]
+    fn identical_reinsert_keeps_the_spent_budget() {
+        let mut acl = AclTable::new();
+        let p = Prefix1D::new(addr(25, 0, 0, 0), 8);
+        let limit = AclAction::RateLimit {
+            max_per_window: 1,
+            window: 1_000,
+        };
+        let src = addr(25, 1, 1, 1);
+        acl.insert(p, limit);
+        assert_eq!(acl.evaluate_at(src, 100), None);
+        acl.insert(p, limit);
+        assert_eq!(acl.evaluate_at(src, 150), Some(limit));
+        assert_eq!(acl.len(), 1);
     }
 }

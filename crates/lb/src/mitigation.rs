@@ -77,7 +77,7 @@ impl Mitigator {
             let stale: Vec<Prefix1D> = proxy
                 .acl()
                 .rules()
-                .map(|(p, _)| *p)
+                .map(|(p, _)| p)
                 .filter(|p| !keep.contains(p))
                 .collect();
             for p in stale {

@@ -2,11 +2,13 @@
 
 use std::collections::HashMap;
 
+use memento::hierarchy::prefix::BYTE_PREFIX_LENGTHS;
 use memento::hierarchy::{exact_hhh, Hierarchy};
+use memento::lb::{AclAction, AclTable};
 use memento::sketches::ExactWindow;
 use memento::traits::SlidingWindowEstimator;
 use memento::WindowQuery;
-use memento::{HMemento, Memento, SrcHierarchy, Wcss};
+use memento::{HMemento, Memento, Prefix1D, SrcHierarchy, Wcss};
 use proptest::prelude::*;
 
 proptest! {
@@ -213,6 +215,83 @@ proptest! {
                 "reported prefix {:?} has total frequency {} below threshold {}",
                 p, freq[p], threshold
             );
+        }
+    }
+}
+
+/// The ACL action a test draw stands for: the two blocking actions and two
+/// rate limits that differ only in budget.
+fn acl_action(kind: u8) -> AclAction {
+    match kind {
+        0 => AclAction::Deny,
+        1 => AclAction::Tarpit,
+        budget => AclAction::RateLimit {
+            max_per_window: u64::from(budget),
+            window: 100,
+        },
+    }
+}
+
+proptest! {
+    // Each case is a few hundred table operations, so this block affords
+    // many more cases than the sketch properties above.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The ACL's longest-prefix match equals a brute-force scan of a plain
+    /// map of the same rules, after any sequence of inserts, replacements
+    /// and removals. Rule addresses are drawn with every byte in 0..3, so
+    /// prefixes at all five lengths (/0 included) overlap often. Queried
+    /// sources lie inside installed prefixes or anywhere in the address
+    /// space; `len`, `is_empty`, `contains` and `rules()` agree with the
+    /// model after every step.
+    #[test]
+    fn acl_longest_prefix_match_equals_brute_force(
+        ops in prop::collection::vec(
+            (0u8..3, 0usize..5, (0u8..3, 0u8..3, 0u8..3, 0u8..3), 0u8..4),
+            1..80,
+        ),
+        probes in prop::collection::vec((0u32..u32::MAX, 0usize..1024), 16..64),
+    ) {
+        let mut acl = AclTable::new();
+        let mut model: HashMap<Prefix1D, AclAction> = HashMap::new();
+        for &(op, depth, (a, b, c, d), kind) in &ops {
+            let addr = u32::from_be_bytes([a, b, c, d]);
+            let prefix = Prefix1D::new(addr, BYTE_PREFIX_LENGTHS[depth]);
+            if op == 0 {
+                prop_assert_eq!(acl.remove(&prefix), model.remove(&prefix).is_some());
+            } else {
+                // An insert, or a replacement when the prefix holds a rule.
+                acl.insert(prefix, acl_action(kind));
+                model.insert(prefix, acl_action(kind));
+            }
+            prop_assert_eq!(acl.len(), model.len());
+            prop_assert_eq!(acl.is_empty(), model.is_empty());
+            prop_assert_eq!(acl.contains(&prefix), model.contains_key(&prefix));
+        }
+        let rules: HashMap<Prefix1D, AclAction> = acl.rules().collect();
+        prop_assert_eq!(acl.rules().count(), rules.len(), "rules() repeats a prefix");
+        prop_assert_eq!(&rules, &model);
+
+        let mut installed: Vec<Prefix1D> = model.keys().copied().collect();
+        installed.sort();
+        for &(bits, pick) in &probes {
+            let mut sources = vec![bits];
+            if !installed.is_empty() {
+                let p = installed[pick % installed.len()];
+                sources.push(p.addr() | (bits & !Prefix1D::mask(p.len())));
+            }
+            for src in sources {
+                let expected = model
+                    .iter()
+                    .filter(|(p, _)| p.contains_addr(src))
+                    .max_by_key(|(p, _)| p.len())
+                    .map(|(&p, &action)| (p, action));
+                let got = acl.matching_rule(src);
+                prop_assert_eq!(
+                    got, expected,
+                    "source {:#010x}: table {:?}, model {:?}", src, got, expected
+                );
+            }
         }
     }
 }

@@ -190,7 +190,7 @@ fn main() {
     }
 
     // The PR 7 query-plane row: the 4-shard Memento ingesting at full tilt
-    // while 4 wait-free snapshot readers hammer `estimate` concurrently.
+    // while 4 snapshot readers hammer `estimate` concurrently.
     rows.push(measure_readers_row(&config, &preset, &keys));
 
     // The PR 8 delta-publication row: the 4-shard Memento publishing a
@@ -379,12 +379,13 @@ fn measure_row(
 }
 
 /// Measures the `concurrent-readers` row: the 4-shard Memento's ingest
-/// throughput while 4 wait-free [`SnapshotReader`] threads spin on
-/// `estimate` against the published snapshots. The engine publishes every
-/// 16 shipped batches, so the readers chew on a continuously-swapping epoch
-/// buffer — the worst case for reader/publisher interference. Because the
-/// readers never touch a worker FIFO or a router lock, ingest should be
-/// nearly unaffected (the `check_reader_overhead` rule).
+/// throughput while 4 [`SnapshotReader`] threads spin on `estimate`
+/// against the published snapshots. The engine publishes every 16 shipped
+/// batches, so the readers chew on a continuously-swapping epoch buffer —
+/// the worst case for reader/publisher interference. Because the readers
+/// never touch a worker FIFO or the router lock, and contend only with
+/// each publication's pointer store, ingest should be nearly unaffected
+/// (the `check_reader_overhead` rule).
 ///
 /// [`SnapshotReader`]: memento_shard::SnapshotReader
 fn measure_readers_row(config: &GateConfig, preset: &TracePreset, keys: &[u64]) -> GateRow {
@@ -506,7 +507,7 @@ fn measure_publish_heavy_row(config: &GateConfig, preset: &TracePreset, keys: &[
 /// on-arrival RMSE against an exact *time*-window oracle over the same
 /// span. Also returns the RMSE of a `TimedWindow<ExactWindow>` with the
 /// identical geometry on the identical arrivals — the pure
-/// grain-quantization error [`check_bursty_rmse`] separates from the
+/// grain-quantization error [`check_replay_rmse`] separates from the
 /// sketch error.
 fn measure_bursty_replay_row(config: &GateConfig, packets: &[Packet]) -> (GateRow, f64) {
     let window_positions = config.window as u64;

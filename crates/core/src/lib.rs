@@ -59,6 +59,6 @@ pub use error::ConfigError;
 pub use h_memento::HMemento;
 pub use memento::Memento;
 pub use query::{FrozenHhh, FrozenWindow, HhhQuery, WindowQuery};
-pub use time::{GrainClock, GrainMap, TimedHhh, TimedWindow};
+pub use time::{GrainClock, GrainMap, TimedWindow};
 pub use traits::{HhhAlgorithm, SlidingWindowEstimator};
 pub use wcss::Wcss;

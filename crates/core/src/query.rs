@@ -12,8 +12,8 @@
 //! * [`HhhQuery`] — `estimate` / `output` / `processed` for hierarchical
 //!   heavy-hitter algorithms.
 //!
-//! The split is what makes a wait-free query plane expressible: the sharded
-//! engines' readers ([`SnapshotReader`](../../memento_shard/struct.SnapshotReader.html))
+//! The split is what makes a snapshot query plane expressible: the sharded
+//! engine's readers ([`Reader`](../../memento_shard/struct.Reader.html))
 //! and the merged [`EngineSnapshot`](../../memento_shard/struct.EngineSnapshot.html)s
 //! they serve implement *only* the query traits, so code written against
 //! `&dyn WindowQuery<K>` cannot accidentally take a blocking ingest path.

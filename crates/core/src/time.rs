@@ -47,11 +47,9 @@
 use std::hash::Hash;
 use std::marker::PhantomData;
 
-use memento_hierarchy::Hierarchy;
-
 use crate::delta::WindowPatch;
-use crate::query::{HhhQuery, WindowQuery};
-use crate::traits::{HhhAlgorithm, SlidingWindowEstimator};
+use crate::query::WindowQuery;
+use crate::traits::SlidingWindowEstimator;
 
 /// The static geometry of a grain-mapped time window: how many clock ticks
 /// one grain spans and how many stream positions it is worth.
@@ -484,92 +482,6 @@ impl<K: Clone, A: SlidingWindowEstimator<K>> WindowQuery<K> for TimedWindow<K, A
         K: Eq + Hash,
     {
         self.inner.freeze_delta()
-    }
-}
-
-/// A time-based sliding window over any [`HhhAlgorithm`]: the hierarchical
-/// twin of [`TimedWindow`], sharing the same [`GrainClock`] schedule and
-/// clock policy.
-#[derive(Debug, Clone)]
-pub struct TimedHhh<Hi: Hierarchy, A: HhhAlgorithm<Hi>> {
-    inner: A,
-    clock: GrainClock,
-    position: u64,
-    _hierarchy: PhantomData<fn(Hi)>,
-}
-
-impl<Hi: Hierarchy, A: HhhAlgorithm<Hi>> TimedHhh<Hi, A> {
-    /// Wraps `inner` (count window of `map.window_positions()`) behind the
-    /// grain-mapped time window `map`.
-    pub fn new(inner: A, map: GrainMap) -> Self {
-        let position = inner.processed();
-        TimedHhh {
-            inner,
-            clock: GrainClock::new(map),
-            position,
-            _hierarchy: PhantomData,
-        }
-    }
-
-    /// Advances the window to timestamp `t` without recording anything
-    /// (see [`TimedWindow::advance_to`]).
-    pub fn advance_to(&mut self, t: u64) {
-        let rotations = self.clock.observe(t, self.position);
-        if rotations > 0 {
-            self.inner.skip(rotations);
-            self.position += rotations;
-        }
-    }
-
-    /// Records one packet arriving at timestamp `t`.
-    pub fn record_at(&mut self, item: Hi::Item, t: u64) {
-        self.advance_to(t);
-        self.inner.update(item);
-        self.position += 1;
-    }
-
-    /// Advances to `t`, then hands out the inner algorithm for querying.
-    pub fn query_at(&mut self, t: u64) -> &A {
-        self.advance_to(t);
-        &self.inner
-    }
-
-    /// The wrapped algorithm, read-only.
-    pub fn inner(&self) -> &A {
-        &self.inner
-    }
-
-    /// Unwraps the algorithm, consuming the time plane.
-    pub fn into_inner(self) -> A {
-        self.inner
-    }
-
-    /// The grain clock (geometry, last timestamp, clamp diagnostics).
-    pub fn clock(&self) -> &GrainClock {
-        &self.clock
-    }
-
-    /// The wrapper's mirror of the inner stream position.
-    pub fn position(&self) -> u64 {
-        self.position
-    }
-}
-
-impl<Hi: Hierarchy, A: HhhAlgorithm<Hi>> HhhQuery<Hi> for TimedHhh<Hi, A> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn estimate(&self, prefix: &Hi::Prefix) -> f64 {
-        self.inner.estimate(prefix)
-    }
-
-    fn output(&self, theta: f64) -> Vec<Hi::Prefix> {
-        self.inner.output(theta)
-    }
-
-    fn processed(&self) -> u64 {
-        self.inner.processed()
     }
 }
 

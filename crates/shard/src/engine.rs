@@ -1,0 +1,624 @@
+//! The sharded engine, written once for every algorithm it scales.
+//!
+//! [`Engine`] owns the router, the shard workers, the snapshot hub, the
+//! [`PublishPolicy`] and the grain clock. What differs between per-flow
+//! estimation and hierarchical heavy hitters — the routed item, the part a
+//! shard freezes for a publication and how the parts merge — is named by
+//! the small [`Shard`] trait, which [`BoxedEstimator`](crate::BoxedEstimator)
+//! and [`BoxedHhh`](crate::BoxedHhh) implement.
+
+use std::hash::Hash;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+use memento_core::query::{HhhQuery, WindowQuery};
+use memento_core::{GrainClock, GrainMap};
+use memento_hierarchy::Hierarchy;
+use memento_sketches::fasthash;
+
+use crate::router::Router;
+use crate::snapshot::{PublishPolicy, SnapshotHub};
+use crate::worker::ShardWorker;
+use crate::{DEFAULT_FLUSH_THRESHOLD, DEFAULT_QUEUE_DEPTH};
+
+/// The stateful closure that merges one epoch's frozen parts, in shard
+/// order, into that epoch's snapshot.
+pub type Assembler<A> =
+    Box<dyn FnMut(u64, Vec<<A as Shard>::Part>) -> <A as Shard>::Snapshot + Send>;
+
+/// One per-shard algorithm the [`Engine`] can scale: the item it routes,
+/// the part it freezes for a publication, and how the parts merge.
+pub trait Shard: Send + Sized + 'static {
+    /// The routed unit: a flow key or a hierarchy item.
+    type Item: Hash + Clone + Send + 'static;
+    /// What one shard delivers for one publication epoch.
+    type Part: Send + 'static;
+    /// The merged, immutable view of one epoch that queries answer from.
+    type Snapshot: Send + Sync + 'static;
+
+    /// Panics unless the engine can scale this algorithm: its `skip` must
+    /// anchor a shard's window at the global stream position, and it must
+    /// freeze a publication part.
+    fn assert_shardable(&self);
+
+    /// The additive per-key error bound this shard reports; the engine and
+    /// its readers report the worst one. Zero for algorithms whose query
+    /// trait reports none.
+    fn error_bound(&self) -> f64;
+
+    /// Replays one shipment: `skip(gaps[i])` before each `items[i]`, then
+    /// `skip(tail)` over the packets routed elsewhere after the last item.
+    fn replay(&mut self, gaps: &[u64], items: &[Self::Item], tail: u64);
+
+    /// Freezes this shard's part of a publication.
+    fn freeze_part(&mut self) -> Self::Part;
+
+    /// Approximate heap footprint of the shard's state in bytes.
+    fn space_bytes(&self) -> usize;
+
+    /// The engine's assembler, built once at construction for an engine
+    /// named `name` over `shards` shards whose worst error bound is
+    /// `error_bound`.
+    fn assembler(name: &'static str, shards: usize, error_bound: f64) -> Assembler<Self>;
+
+    /// `snapshot` re-stamped as `epoch`: the publication of an engine that
+    /// has not changed since `snapshot` was assembled.
+    fn restamped(snapshot: &Self::Snapshot, epoch: u64) -> Self::Snapshot;
+}
+
+/// An algorithm scaled across worker threads, with **global-position
+/// windows**.
+///
+/// Items are hash-partitioned over `N` shards with [`fasthash::route`];
+/// each shard is a worker thread owning an independent instance over a
+/// **full window of `W` packets at the global stream position**. The
+/// router stamps every item with its *gap* — the number of packets routed
+/// to other shards since that shard's previous item — and the worker
+/// replays `skip(gap)` before each item ([`Shard::replay`]), the
+/// D-Memento-style bulk window update of the Memento paper (§6). Every
+/// shard's window therefore covers exactly the last `W` packets of the
+/// *combined* stream, of which it recorded only its own items, so the
+/// per-shard answers merge under the mergeable-sliding-window contract
+/// that the sliding-window heavy-hitter literature (Braverman et al.)
+/// assumes for partitioned deployments. (Giving each shard `W/N` of its
+/// *own* packets instead covers far less than `W` global packets for the
+/// shard owning a dominant flow — the 123 → 3308 on-arrival RMSE blowup
+/// recorded in `crates/bench/EXPERIMENTS.md`.)
+///
+/// Items travel to the workers as gap-stamped batches over bounded
+/// channels, reusing each algorithm's batch fast path (for Memento, the
+/// geometric skip sampling of §5).
+///
+/// **Queries are served from published snapshots**: per the
+/// [`PublishPolicy`], the engine periodically freezes every shard into one
+/// immutable [`Shard::Snapshot`] that the engine's own query methods — and
+/// any number of [`Reader`] handles ([`Self::reader`]) — answer from. With
+/// the default `on_query = true` policy the engine's own queries force a
+/// publication first, reproducing the flush-then-read answers
+/// bit-for-bit; readers observe bounded staleness (≤ one publication
+/// interval) instead.
+///
+/// The engine implements the workspace's query and ingest traits —
+/// [`ShardedEstimator`](crate::ShardedEstimator) the per-flow ones,
+/// [`ShardedHhh`](crate::ShardedHhh) the hierarchical ones — so every
+/// generic driver in the workspace runs sharded without modification.
+pub struct Engine<A: Shard> {
+    name: &'static str,
+    workers: Vec<ShardWorker<A>>,
+    /// Gap-stamped buffers and position bookkeeping. Behind a mutex so the
+    /// `&self` query methods can ship them; updates take `&mut self`, so
+    /// the lock is uncontended.
+    state: Mutex<Router<A::Item>>,
+    /// Ship a shard's buffer once it holds this many items.
+    pub(crate) flush_threshold: usize,
+    /// Snapshot publication cadence and on-query behaviour.
+    policy: PublishPolicy,
+    /// Batches shipped since the last publication (mutated only under the
+    /// router lock; atomic so `&self` query methods can read it).
+    shipped: AtomicUsize,
+    /// Freeze rounds actually enqueued to the workers (diagnostics: lets
+    /// tests assert the unchanged-engine short circuit skips them).
+    freezes: AtomicUsize,
+    /// Snapshot assembly and the epoch double buffer, shared with every
+    /// [`Reader`].
+    hub: Arc<SnapshotHub<A::Part, A::Snapshot>>,
+    /// Worst per-shard error bound, constant per configuration.
+    error_bound: f64,
+    /// The clock of the engine-level time plane ([`Self::advance_to`]);
+    /// `None` until [`Self::with_grain_clock`].
+    clock: Option<GrainClock>,
+}
+
+impl<A: Shard> Engine<A> {
+    /// Creates an engine with `shards` workers, each owning the algorithm
+    /// built by `factory(shard_index)`. Every per-shard algorithm must be
+    /// configured with the **full global window `W`** — the router keeps it
+    /// at the global stream position through its `skip`.
+    ///
+    /// `name` is the stable identifier the query traits report (bench
+    /// CSV/JSON output). The engine starts under
+    /// [`PublishPolicy::default`]; override with [`Self::with_policy`].
+    ///
+    /// # Panics
+    /// Panics when `shards` is zero or a factory-built algorithm fails
+    /// [`Shard::assert_shardable`]: interval algorithms (Space Saving, MST,
+    /// RHHH) have no `skip` that can advance a window over packets recorded
+    /// elsewhere, so they cannot be sharded.
+    pub fn new(name: &'static str, shards: usize, factory: impl FnMut(usize) -> A) -> Self {
+        assert!(shards > 0, "shard count must be positive");
+        let algorithms: Vec<A> = (0..shards).map(factory).collect();
+        let mut error_bound: f64 = 0.0;
+        for algorithm in &algorithms {
+            algorithm.assert_shardable();
+            error_bound = error_bound.max(algorithm.error_bound());
+        }
+        let workers = algorithms
+            .into_iter()
+            .enumerate()
+            .map(|(i, algorithm)| {
+                ShardWorker::spawn(format!("{name}-shard-{i}"), DEFAULT_QUEUE_DEPTH, algorithm)
+            })
+            .collect();
+        let hub = SnapshotHub::new(shards, A::assembler(name, shards, error_bound));
+        Engine {
+            name,
+            workers,
+            state: Mutex::new(Router::new(shards)),
+            flush_threshold: DEFAULT_FLUSH_THRESHOLD,
+            policy: PublishPolicy::default(),
+            shipped: AtomicUsize::new(0),
+            freezes: AtomicUsize::new(0),
+            hub: Arc::new(hub),
+            error_bound,
+            clock: None,
+        }
+    }
+
+    /// Number of shards (worker threads).
+    pub fn shards(&self) -> usize {
+        self.workers.len()
+    }
+
+    /// Sets the snapshot [`PublishPolicy`] (builder style, for use at
+    /// construction: `ShardedEstimator::memento(..).with_policy(..)`).
+    pub fn with_policy(mut self, policy: PublishPolicy) -> Self {
+        self.policy = policy;
+        self
+    }
+
+    /// The engine's current snapshot [`PublishPolicy`].
+    pub fn policy(&self) -> PublishPolicy {
+        self.policy
+    }
+
+    /// Equips the engine with a grain-mapped time plane (builder style,
+    /// like [`Self::with_policy`]): one [`GrainClock`] over `map`, enabling
+    /// [`Self::advance_to`]. Every per-shard algorithm must be configured
+    /// with a count window of exactly `map.window_positions()` — the same
+    /// contract as [`TimedWindow`](memento_core::TimedWindow), which this
+    /// replaces for sharded deployments: the clock lives *inside* the
+    /// engine, so time-driven rotations ship to every shard and the workers
+    /// execute their closed-form skips in parallel.
+    pub fn with_grain_clock(mut self, map: GrainMap) -> Self {
+        self.clock = Some(GrainClock::new(map));
+        self
+    }
+
+    /// The engine's grain clock when it was built
+    /// [`with_grain_clock`](Self::with_grain_clock): geometry, newest
+    /// timestamp, and clamp diagnostics.
+    pub fn grain_clock(&self) -> Option<&GrainClock> {
+        self.clock.as_ref()
+    }
+
+    /// Advances every shard's window to timestamp `t` without recording
+    /// anything — the engine-level twin of
+    /// [`TimedWindow::advance_to`](memento_core::TimedWindow::advance_to).
+    ///
+    /// All ingest flows through the one router, so one clock observing the
+    /// router's global position schedules every shard. When rotations are
+    /// due, the global position advances first and every shard then ships:
+    /// the rotations land in each shipment's trailing skip (gap stamps are
+    /// taken eagerly at push time, so buffered items keep their pre-advance
+    /// positions) and each worker executes its closed-form `skip` *now*, in
+    /// parallel, instead of at its next ingest. Zero rotations — within a
+    /// grain, or while records run ahead of schedule — touch nothing: no
+    /// shipment, no worker wakeup. Non-monotone `t` clamps per the clock
+    /// policy.
+    ///
+    /// # Panics
+    /// Panics unless the engine was built with [`Self::with_grain_clock`].
+    pub fn advance_to(&mut self, t: u64) {
+        let clock = self
+            .clock
+            .as_mut()
+            .expect("advance_to requires an engine built with with_grain_clock(map)");
+        let mut state = self.state.lock().expect("router state poisoned");
+        let rotations = clock.observe(t, state.position());
+        if rotations > 0 {
+            state.advance(rotations);
+            self.ship_all(&mut state);
+        }
+    }
+
+    /// A handle answering the query traits from the latest published
+    /// snapshot: cheap to clone, `Send + Sync`, and stale by at most one
+    /// publication interval. A read never touches a worker FIFO or the
+    /// router lock; it contends only with one publication's pointer store.
+    pub fn reader(&self) -> Reader<A> {
+        Reader {
+            hub: Arc::clone(&self.hub),
+            name: self.name,
+            error_bound: self.error_bound,
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Router<A::Item>> {
+        self.state.lock().expect("router state poisoned")
+    }
+
+    /// Ships one shard's gap-stamped items plus the trailing skip that
+    /// advances the shard's window to the current global position: a
+    /// tail-only shipment when the shard has no buffered items but has
+    /// fallen behind the global position.
+    fn ship_shard(&self, state: &mut Router<A::Item>, shard: usize) {
+        let Some((gaps, items, tail)) = state.take_shipment(shard) else {
+            return;
+        };
+        self.workers[shard].send(Box::new(move |algorithm: &mut A| {
+            algorithm.replay(&gaps, &items, tail)
+        }));
+        self.shipped.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Ships every shard's pending buffer, advancing every shard to the
+    /// current global stream position.
+    fn ship_all(&self, state: &mut Router<A::Item>) {
+        for shard in 0..self.workers.len() {
+            self.ship_shard(state, shard);
+        }
+    }
+
+    /// Buffers one routed item; ships the shard's buffer once full, then
+    /// publishes a snapshot if the periodic cadence is due.
+    fn push(&self, state: &mut Router<A::Item>, shard: usize, item: A::Item) {
+        if state.push(shard, item, self.flush_threshold) >= self.flush_threshold {
+            self.ship_shard(state, shard);
+            if self.policy.every_batches > 0
+                && self.shipped.load(Ordering::Relaxed) >= self.policy.every_batches
+            {
+                self.publish_epoch(state);
+            }
+        }
+    }
+
+    /// Ships all buffers (position sync), allocates the next epoch and
+    /// enqueues one freeze job per worker FIFO. Epochs are allocated under
+    /// the router lock, so epoch order equals enqueue order on every FIFO —
+    /// which is what makes them complete in order at the hub (and what lets
+    /// the hub's stateful assembler apply parts in order).
+    ///
+    /// **Unchanged-engine short circuit:** every state change since the
+    /// previous publication — buffered items, position advances — turns
+    /// into a shipment during the ship-all above, so `shipped == 0`
+    /// afterwards means the shards are bit-identical to what the last
+    /// freeze round saw. When additionally every allocated epoch has been
+    /// published (no freeze jobs in flight), the latest snapshot is
+    /// re-published under the new epoch ([`Shard::restamped`]) without
+    /// touching a worker. Epoch allocation and the quiescence check both
+    /// happen under the router lock, so no worker delivery can race the
+    /// restamp.
+    fn publish_epoch(&self, state: &mut Router<A::Item>) -> u64 {
+        self.ship_all(state);
+        let unchanged = self.shipped.swap(0, Ordering::Relaxed) == 0 && self.hub.quiescent();
+        let epoch = self.hub.begin_epoch();
+        // Nothing published yet (the first publication of an empty engine)
+        // makes the restamp refuse: fall through to a real freeze round.
+        if !(unchanged
+            && self
+                .hub
+                .publish_restamped(epoch, |snapshot| A::restamped(snapshot, epoch)))
+        {
+            self.freezes.fetch_add(1, Ordering::Relaxed);
+            for (shard, worker) in self.workers.iter().enumerate() {
+                let hub = Arc::clone(&self.hub);
+                worker.send(Box::new(move |algorithm: &mut A| {
+                    hub.deliver(epoch, shard, algorithm.freeze_part())
+                }));
+            }
+        }
+        epoch
+    }
+
+    /// Number of freeze rounds actually enqueued to the workers — excludes
+    /// re-stamped publications of an unchanged engine. Diagnostics for the
+    /// short-circuit tests.
+    #[doc(hidden)]
+    pub fn freeze_rounds(&self) -> usize {
+        self.freezes.load(Ordering::Relaxed)
+    }
+
+    /// Publishes a fresh snapshot *now* — ships all pending buffers,
+    /// freezes every shard at the current global position, waits for the
+    /// merged snapshot to appear in the double buffer — and returns its
+    /// epoch. This is the explicit synchronization point: after
+    /// `publish_now` returns, every reader observes a snapshot at least
+    /// this fresh.
+    pub fn publish_now(&self) -> u64 {
+        let epoch = self.publish_epoch(&mut self.lock());
+        self.hub.wait_published(epoch);
+        epoch
+    }
+
+    /// The historical FIFO piggyback query path: ships all pending buffers,
+    /// then runs `f` on shard `shard`'s worker thread after everything
+    /// enqueued before it. Kept (hidden) so differential tests can compare
+    /// snapshot answers against flush-then-FIFO answers; everything else
+    /// should go through the query traits or [`Self::reader`].
+    #[doc(hidden)]
+    pub fn query_via_fifo<R, F>(&self, shard: usize, f: F) -> R
+    where
+        R: Send + 'static,
+        F: FnOnce(&mut A) -> R + Send + 'static,
+    {
+        self.ship_all(&mut self.lock());
+        self.workers[shard].call(f)
+    }
+
+    /// The snapshot every query method answers from: the latest published
+    /// one, after forcing a publication when the policy says queries must
+    /// observe everything ingested so far (or when nothing was published
+    /// yet).
+    fn read_snapshot(&self) -> Arc<A::Snapshot> {
+        if self.policy.on_query || self.hub.latest().is_none() {
+            self.publish_now();
+        }
+        self.hub.latest().expect("publish_now published an epoch")
+    }
+
+    /// Routes one item (the ingest traits' `update`). `&mut self` rules out
+    /// concurrent queries, so holding the router lock across a (possibly
+    /// blocking) ship cannot deadlock.
+    pub(crate) fn route(&mut self, item: A::Item) {
+        let shard = fasthash::route(&item, self.workers.len());
+        self.push(&mut self.lock(), shard, item);
+    }
+
+    /// Routes a batch (the ingest traits' `update_batch`), shipping each
+    /// shard's share in flush-threshold-sized gap-stamped messages in
+    /// per-shard arrival order (the order across shards is immaterial:
+    /// shards are disjoint item sets and the gap stamps carry the exact
+    /// cross-shard positions). Items beyond the last full message stay
+    /// buffered until the next update or query.
+    ///
+    /// Routes are computed tile-wise: a straight-line pass hashes a fixed
+    /// tile of items into a stack array before the branchy push/ship loop
+    /// consumes them, so the hashing pipelines ahead of the buffer
+    /// bookkeeping instead of serializing with it. Push order — and with it
+    /// every gap stamp — is exactly that of the per-item loop.
+    pub(crate) fn route_batch(&mut self, items: &[A::Item]) {
+        const TILE: usize = 64;
+        let mut state = self.lock();
+        let mut routes = [0usize; TILE];
+        for tile in items.chunks(TILE) {
+            for (route, item) in routes.iter_mut().zip(tile) {
+                *route = fasthash::route(item, self.workers.len());
+            }
+            for (item, &shard) in tile.iter().zip(&routes) {
+                self.push(&mut state, shard, item.clone());
+            }
+        }
+    }
+
+    /// Routes a gap-stamped batch (the ingest traits'
+    /// `update_batch_positioned`): before each item, the *global* stream
+    /// position advances over its gap. This is the time plane's ingest path
+    /// and much cheaper than the traits' default: because the router
+    /// stamps each entry's gap eagerly at push time, advancing the router
+    /// mid-batch folds the gap into the *next* entry's stamp on every shard
+    /// — no shipment per gap, no per-gap worker wakeup. Shards that receive
+    /// no item after a gap are advanced by the trailing skip of their next
+    /// shipment, as always. Observable behaviour is exactly the traits'
+    /// contract: `skip(gaps[i]); update(items[i])` in order.
+    pub(crate) fn route_positioned(&mut self, gaps: &[u64], items: &[A::Item]) {
+        assert_eq!(gaps.len(), items.len(), "one gap stamp per item");
+        const TILE: usize = 64;
+        let mut state = self.lock();
+        let mut routes = [0usize; TILE];
+        for (tile, tile_gaps) in items.chunks(TILE).zip(gaps.chunks(TILE)) {
+            for (route, item) in routes.iter_mut().zip(tile) {
+                *route = fasthash::route(item, self.workers.len());
+            }
+            for ((item, &shard), &gap) in tile.iter().zip(&routes).zip(tile_gaps) {
+                if gap > 0 {
+                    state.advance(gap);
+                }
+                self.push(&mut state, shard, item.clone());
+            }
+        }
+    }
+
+    /// Advances the global stream position over `n` packets observed
+    /// outside this engine (the ingest traits' `skip`). Pending buffers ship
+    /// first so already-routed items keep their pre-skip positions; the
+    /// advance then reaches the shards through the gap stamps of their next
+    /// shipments.
+    pub(crate) fn skip_positions(&mut self, n: u64) {
+        let mut state = self.lock();
+        self.ship_all(&mut state);
+        state.advance(n);
+    }
+
+    /// Sum of the shards' heap footprints, read through the worker FIFOs
+    /// after shipping every pending buffer.
+    pub(crate) fn total_space_bytes(&self) -> usize {
+        self.ship_all(&mut self.lock());
+        self.workers
+            .iter()
+            .map(|worker| worker.call(|algorithm: &mut A| algorithm.space_bytes()))
+            .sum()
+    }
+}
+
+impl<A: Shard> std::fmt::Debug for Engine<A> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Engine")
+            .field("name", &self.name)
+            .field("shards", &self.workers.len())
+            .field("flush_threshold", &self.flush_threshold)
+            .field("policy", &self.policy)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Answered from the latest published snapshot (the merge rule is the
+/// snapshot type's). Under the default [`PublishPolicy::on_query`] a
+/// publication is forced first, so answers reflect every preceding update;
+/// with `on_query = false` they are stale by at most one publication
+/// interval. `processed` doubles as the drain barrier the throughput
+/// harnesses rely on: the forced publication's freeze jobs run after every
+/// shipped batch on every worker FIFO.
+impl<K: Clone, A: Shard> WindowQuery<K> for Engine<A>
+where
+    A::Snapshot: WindowQuery<K>,
+{
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn estimate(&self, key: &K) -> f64 {
+        self.read_snapshot().estimate(key)
+    }
+
+    fn heavy_hitters(&self, threshold: f64) -> Vec<(K, f64)> {
+        self.read_snapshot().heavy_hitters(threshold)
+    }
+
+    fn processed(&self) -> u64 {
+        self.read_snapshot().processed()
+    }
+
+    /// A flow lives entirely in one shard whose window spans the full
+    /// global stream, so the merged per-flow error is the worst per-shard
+    /// bound, not their sum.
+    fn error_bound(&self) -> f64 {
+        self.error_bound
+    }
+}
+
+/// Answered from the latest published snapshot, with the same publication
+/// semantics as the engine's [`WindowQuery`] implementation.
+impl<Hi: Hierarchy, A: Shard> HhhQuery<Hi> for Engine<A>
+where
+    A::Snapshot: HhhQuery<Hi>,
+{
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn estimate(&self, prefix: &Hi::Prefix) -> f64 {
+        self.read_snapshot().estimate(prefix)
+    }
+
+    fn output(&self, theta: f64) -> Vec<Hi::Prefix> {
+        self.read_snapshot().output(theta)
+    }
+
+    fn processed(&self) -> u64 {
+        self.read_snapshot().processed()
+    }
+}
+
+/// A cheaply clonable, `Send + Sync` handle answering the query traits from
+/// an [`Engine`]'s latest published snapshot.
+///
+/// A query loads the epoch double buffer — an atomic epoch load, then a
+/// pointer clone under that epoch's slot mutex, retried if a newer
+/// publication reused the slot in between — and answers from the immutable
+/// merged summary. It never touches a worker FIFO or the router lock, so
+/// it never waits on ingest; it contends only with one publication's
+/// pointer store. Answers are stale by at most one publication interval
+/// ([`PublishPolicy::every_batches`]). Before the first publication the
+/// reader reports the empty window (`processed` = 0, zero estimates, no
+/// heavy hitters).
+pub struct Reader<A: Shard> {
+    hub: Arc<SnapshotHub<A::Part, A::Snapshot>>,
+    name: &'static str,
+    error_bound: f64,
+}
+
+impl<A: Shard> Clone for Reader<A> {
+    fn clone(&self) -> Self {
+        Reader {
+            hub: Arc::clone(&self.hub),
+            name: self.name,
+            error_bound: self.error_bound,
+        }
+    }
+}
+
+impl<A: Shard> std::fmt::Debug for Reader<A> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Reader")
+            .field("name", &self.name)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<A: Shard> Reader<A> {
+    /// The latest published snapshot, or `None` before the first
+    /// publication. Grabbing the `Arc` pins one epoch: every query against
+    /// it is internally consistent, which is what the torn-read stress
+    /// tests assert.
+    pub fn latest(&self) -> Option<Arc<A::Snapshot>> {
+        self.hub.latest()
+    }
+}
+
+impl<K: Clone, A: Shard> WindowQuery<K> for Reader<A>
+where
+    A::Snapshot: WindowQuery<K>,
+{
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn estimate(&self, key: &K) -> f64 {
+        self.latest().map(|s| s.estimate(key)).unwrap_or(0.0)
+    }
+
+    fn heavy_hitters(&self, threshold: f64) -> Vec<(K, f64)> {
+        self.latest()
+            .map(|s| s.heavy_hitters(threshold))
+            .unwrap_or_default()
+    }
+
+    fn processed(&self) -> u64 {
+        self.latest().map(|s| s.processed()).unwrap_or(0)
+    }
+
+    fn error_bound(&self) -> f64 {
+        self.error_bound
+    }
+}
+
+impl<Hi: Hierarchy, A: Shard> HhhQuery<Hi> for Reader<A>
+where
+    A::Snapshot: HhhQuery<Hi>,
+{
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn estimate(&self, prefix: &Hi::Prefix) -> f64 {
+        self.latest().map(|s| s.estimate(prefix)).unwrap_or(0.0)
+    }
+
+    fn output(&self, theta: f64) -> Vec<Hi::Prefix> {
+        self.latest().map(|s| s.output(theta)).unwrap_or_default()
+    }
+
+    fn processed(&self) -> u64 {
+        self.latest().map(|s| s.processed()).unwrap_or(0)
+    }
+}

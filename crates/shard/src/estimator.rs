@@ -1,177 +1,100 @@
-//! Hash-partitioned multi-core engine for [`SlidingWindowEstimator`]s.
+//! Per-flow estimation on the sharded [`Engine`].
 
 use std::hash::Hash;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
-use memento_core::traits::{SlidingWindowEstimator, WindowQuery};
-use memento_core::{DeltaAssembler, GrainClock, GrainMap, Memento, Wcss, WindowPatch};
-use memento_sketches::{fasthash, ExactWindow};
+use memento_core::traits::SlidingWindowEstimator;
+use memento_core::{DeltaAssembler, Memento, Wcss, WindowPatch};
+use memento_sketches::ExactWindow;
 
-use crate::router::Router;
-use crate::snapshot::{EngineSnapshot, EstimatorHub, PublishPolicy, SnapshotHub, SnapshotReader};
-use crate::worker::ShardWorker;
-use crate::{DEFAULT_FLUSH_THRESHOLD, DEFAULT_QUEUE_DEPTH};
+use crate::engine::{Assembler, Engine, Reader, Shard};
+use crate::snapshot::EngineSnapshot;
 
 /// The boxed per-shard estimator each worker thread owns.
 pub type BoxedEstimator<K> = Box<dyn SlidingWindowEstimator<K> + Send>;
 
-/// A sliding-window estimator scaled across worker threads, with
-/// **global-position windows**.
-///
-/// Keys are hash-partitioned over `N` shards; each shard is a worker thread
-/// owning an independent estimator over a **full window of `W` packets at
-/// the global stream position**. The router stamps every key with its
-/// *gap* — the number of packets routed to other shards since that shard's
-/// previous key — and the worker replays
-/// [`skip(gap)`](SlidingWindowEstimator::skip) before each key (through
-/// the estimator's fused
-/// [`update_batch_positioned`](SlidingWindowEstimator::update_batch_positioned)
-/// path), the D-Memento-style bulk window update of the Memento paper
-/// (§6). Every shard's window therefore covers exactly the last `W`
-/// packets of the *combined* stream (of which it recorded only its own
-/// flows), so per-flow queries are answered by the owning shard alone and
-/// heavy-hitter queries are the union of the per-shard answers — the
-/// mergeable-sliding-window contract
-/// ([`SlidingWindowEstimator::mergeable`]) that the sliding-window
-/// heavy-hitter literature (Braverman et al.) assumes for partitioned
-/// deployments. (The previous count-based design gave each shard `W/N` of
-/// its *own* packets, which under skew covers far less than `W` global
-/// packets for the shard owning a dominant flow — the 123 → 3308 on-arrival
-/// RMSE blowup recorded in `crates/bench/EXPERIMENTS.md`.)
-///
-/// Updates travel to the workers as gap-stamped batches over bounded
-/// channels (reusing each estimator's `update_batch` fast path — for
-/// Memento, the geometric skip sampling of §5).
-///
-/// **Queries are served from published snapshots** (PR 7): per the
-/// [`PublishPolicy`], the engine periodically freezes every shard into an
-/// immutable [`EngineSnapshot`] that the engine's own
-/// [`WindowQuery`] methods — and any number of wait-free
-/// [`SnapshotReader`] handles ([`Self::reader`]) — answer from at memory
-/// speed. With the default `on_query = true` policy the engine's own
-/// queries force a publication first, reproducing the historical
-/// flush-then-read semantics bit-for-bit; readers observe bounded
-/// staleness (≤ one publication interval) instead. The old FIFO piggyback
-/// query path survives only as the `#[doc(hidden)]`
-/// [`Self::query_via_fifo`] escape hatch for differential tests.
-///
-/// The engine itself implements [`SlidingWindowEstimator`], so every
-/// generic driver in the workspace — the figure harnesses, the detection
-/// disciplines, the flood-mitigation scenario — can run sharded without
-/// modification.
-pub struct ShardedEstimator<K: Eq + Hash + Clone + Send + Sync + 'static> {
-    name: &'static str,
-    workers: Vec<ShardWorker<BoxedEstimator<K>>>,
-    /// Gap-stamped buffers and position bookkeeping. Behind a mutex so the
-    /// `&self` query methods can flush them; the engine is not itself meant
-    /// to be driven from several threads (updates take `&mut self`), so the
-    /// lock is uncontended.
-    state: Mutex<Router<K>>,
-    /// Ship a shard's buffer once it holds this many keys.
-    flush_threshold: usize,
-    /// Snapshot publication cadence and on-query behaviour.
-    policy: PublishPolicy,
-    /// Batches shipped since the last publication (mutated only under the
-    /// router lock; atomic so `&self` query methods can read it).
-    shipped: AtomicUsize,
-    /// Freeze rounds actually enqueued to the workers (diagnostics: lets
-    /// tests assert the unchanged-engine short circuit skips them).
-    freezes: AtomicUsize,
-    /// Snapshot assembly and the epoch double buffer, shared with every
-    /// [`SnapshotReader`] handle.
-    hub: Arc<EstimatorHub<K>>,
-    /// Worst per-shard error bound, cached at construction (constant per
-    /// configuration).
-    error_bound: f64,
-    /// Per-shard grain clocks for the engine-level time plane
-    /// ([`Self::advance_to`]); `None` until [`Self::with_grain_clock`].
-    clocks: Option<Vec<GrainClock>>,
-}
+/// A sliding-window estimator scaled across worker threads: the [`Engine`]
+/// over [`BoxedEstimator`]s. A flow lives wholly in the shard its key
+/// routes to, so per-flow queries are answered by that shard alone and
+/// heavy-hitter queries are the union of the per-shard answers (see
+/// [`EngineSnapshot`]). The engine implements [`SlidingWindowEstimator`]
+/// itself, so every generic driver in the workspace — the figure
+/// harnesses, the detection disciplines, the flood-mitigation scenario —
+/// can run sharded without modification.
+pub type ShardedEstimator<K> = Engine<BoxedEstimator<K>>;
 
-impl<K: Eq + Hash + Clone + Send + Sync + 'static> ShardedEstimator<K> {
-    /// Creates a sharded engine with `shards` workers, each owning the
-    /// estimator built by `factory(shard_index)`. Every per-shard estimator
-    /// must be configured with the **full global window `W`** — the router
-    /// keeps it at the global stream position via
-    /// [`skip`](SlidingWindowEstimator::skip).
-    ///
-    /// `name` is the stable identifier reported through
-    /// [`WindowQuery::name`] (bench CSV/JSON output). The engine starts
-    /// under [`PublishPolicy::default`]; override with
-    /// [`Self::with_policy`].
-    ///
-    /// # Panics
-    /// Panics when `shards` is zero or a factory-built estimator reports
-    /// itself as not [`mergeable`](SlidingWindowEstimator::mergeable) —
-    /// global-position sharded windows require estimators whose `skip` can
-    /// advance the window over packets recorded elsewhere; interval
-    /// estimators (Space Saving) do not qualify.
-    pub fn new<F>(name: &'static str, shards: usize, mut factory: F) -> Self
-    where
-        F: FnMut(usize) -> BoxedEstimator<K>,
-    {
-        assert!(shards > 0, "shard count must be positive");
-        let mut workers = Vec::with_capacity(shards);
-        let mut error_bound: f64 = 0.0;
-        for i in 0..shards {
-            let estimator = factory(i);
-            assert!(
-                estimator.mergeable(),
-                "{} cannot answer global-position window queries across key partitions \
-                 (its skip cannot anchor a shard's window at the global stream position); \
-                 it cannot be sharded",
-                estimator.name()
-            );
-            error_bound = error_bound.max(estimator.error_bound());
-            workers.push(ShardWorker::spawn(
-                format!("{name}-shard-{i}"),
-                DEFAULT_QUEUE_DEPTH,
-                estimator,
-            ));
+/// A [`Reader`] of a [`ShardedEstimator`]'s snapshots.
+pub type SnapshotReader<K> = Reader<BoxedEstimator<K>>;
+
+impl<K: Eq + Hash + Clone + Send + Sync + 'static> Shard for BoxedEstimator<K> {
+    type Item = K;
+    /// Incremental freezes: a [`WindowPatch`] covering only the slots
+    /// dirtied since the shard's previous freeze.
+    type Part = WindowPatch<K>;
+    type Snapshot = EngineSnapshot<K>;
+
+    fn assert_shardable(&self) {
+        assert!(
+            self.mergeable(),
+            "{} cannot answer global-position window queries across key partitions \
+             (its skip cannot anchor a shard's window at the global stream position); \
+             it cannot be sharded",
+            self.name()
+        );
+    }
+
+    fn error_bound(&self) -> f64 {
+        (**self).error_bound()
+    }
+
+    fn replay(&mut self, gaps: &[u64], keys: &[K], tail: u64) {
+        if !keys.is_empty() {
+            self.update_batch_positioned(gaps, keys);
         }
-        // The persistent merge state of the PR 8 delta publication plane:
-        // one rotating view assembler per shard, owned by the hub's
-        // stateful closure. Each epoch folds the shards' incremental
-        // patches onto assembler-owned views (in-place hash-table writes —
-        // the rotation keeps the mutated view out of the double buffer's
-        // retention window) and publishes O(1) clones, so assembling costs
-        // O(slots dirtied since the previous epoch) instead of
-        // O(shards × summary size).
-        let mut merged: Vec<DeltaAssembler<K>> =
-            (0..shards).map(|_| DeltaAssembler::new(name)).collect();
-        let hub = Arc::new(SnapshotHub::new(
-            shards,
-            Box::new(move |epoch, parts: Vec<WindowPatch<K>>| {
-                let views = merged
-                    .iter_mut()
-                    .zip(parts)
-                    .map(|(assembler, patch)| assembler.publish(patch))
-                    .collect();
-                EngineSnapshot::assemble(epoch, name, error_bound, views)
-            }),
-        ));
-        ShardedEstimator {
-            name,
-            workers,
-            state: Mutex::new(Router::new(shards)),
-            flush_threshold: DEFAULT_FLUSH_THRESHOLD,
-            policy: PublishPolicy::default(),
-            shipped: AtomicUsize::new(0),
-            freezes: AtomicUsize::new(0),
-            hub,
-            error_bound,
-            clocks: None,
+        if tail > 0 {
+            self.skip(tail);
         }
     }
 
+    fn freeze_part(&mut self) -> WindowPatch<K> {
+        self.freeze_delta()
+    }
+
+    fn space_bytes(&self) -> usize {
+        (**self).space_bytes()
+    }
+
+    /// The persistent merge state of delta publication: one rotating view
+    /// assembler per shard, owned by the closure. Each epoch folds the
+    /// shards' patches onto assembler-owned views (in-place hash-table
+    /// writes — the rotation keeps the mutated view out of the double
+    /// buffer's retention window) and publishes O(1) clones, so assembling
+    /// costs O(slots dirtied since the previous epoch) instead of
+    /// O(shards × summary size).
+    fn assembler(name: &'static str, shards: usize, error_bound: f64) -> Assembler<Self> {
+        let mut merged: Vec<DeltaAssembler<K>> =
+            (0..shards).map(|_| DeltaAssembler::new(name)).collect();
+        Box::new(move |epoch, parts| {
+            let views = merged
+                .iter_mut()
+                .zip(parts)
+                .map(|(assembler, patch)| assembler.publish(patch))
+                .collect();
+            EngineSnapshot::assemble(epoch, name, error_bound, views)
+        })
+    }
+
+    fn restamped(snapshot: &EngineSnapshot<K>, epoch: u64) -> EngineSnapshot<K> {
+        snapshot.restamped(epoch)
+    }
+}
+
+impl<K: Eq + Hash + Clone + Send + Sync + 'static> ShardedEstimator<K> {
     /// A sharded [`Memento`]: every shard keeps a **full `W`-packet window
     /// at the global stream position** with the full `k` counters (same
     /// `4W/k` error bound as the single instance — the `N×` counter memory
     /// is the price of full-window coverage per shard), with per-shard
     /// decorrelated RNG seeds.
     pub fn memento(shards: usize, counters: usize, window: usize, tau: f64, seed: u64) -> Self {
-        assert!(shards > 0, "shard count must be positive");
         Self::new("sharded-memento", shards, move |i| {
             let shard_seed = seed.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             Box::new(Memento::new(counters, window, tau, shard_seed))
@@ -184,7 +107,6 @@ impl<K: Eq + Hash + Clone + Send + Sync + 'static> ShardedEstimator<K> {
     /// Space-Saving eviction occurs the sharded estimates are bit-for-bit
     /// the single-threaded ones.
     pub fn wcss(shards: usize, counters: usize, window: usize) -> Self {
-        assert!(shards > 0, "shard count must be positive");
         Self::new("sharded-wcss", shards, move |_| {
             Box::new(Wcss::new(counters, window))
         })
@@ -193,105 +115,13 @@ impl<K: Eq + Hash + Clone + Send + Sync + 'static> ShardedEstimator<K> {
     /// A sharded exact window oracle (full `W`-position window per shard):
     /// zero estimation error, used as the sharding-layer ground truth.
     pub fn exact(shards: usize, window: usize) -> Self {
-        assert!(shards > 0, "shard count must be positive");
         Self::new("sharded-exact", shards, move |_| {
             Box::new(ExactWindow::new(window))
         })
     }
 
-    /// Number of shards (worker threads).
-    pub fn shards(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Sets the snapshot [`PublishPolicy`] (builder style, for use at
-    /// construction: `ShardedEstimator::memento(..).with_policy(..)`).
-    pub fn with_policy(mut self, policy: PublishPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// The engine's current snapshot [`PublishPolicy`].
-    pub fn policy(&self) -> PublishPolicy {
-        self.policy
-    }
-
-    /// Equips the engine with a grain-mapped time plane (builder style,
-    /// like [`Self::with_policy`]): one [`GrainClock`] per shard over
-    /// `map`, enabling [`Self::advance_to`]. Every per-shard estimator
-    /// must be configured with a count window of exactly
-    /// `map.window_positions()` — the same contract as
-    /// [`TimedWindow`](memento_core::TimedWindow), which this replaces for
-    /// sharded deployments: the clocks live *inside* the engine, so
-    /// time-driven rotations ship per shard and the workers execute their
-    /// closed-form skips in parallel.
-    pub fn with_grain_clock(mut self, map: GrainMap) -> Self {
-        self.clocks = Some(
-            (0..self.workers.len())
-                .map(|_| GrainClock::new(map))
-                .collect(),
-        );
-        self
-    }
-
-    /// The per-shard grain clocks, when the engine was built
-    /// [`with_grain_clock`](Self::with_grain_clock): geometry, newest
-    /// timestamp, and clamp diagnostics — one replica per shard.
-    pub fn grain_clocks(&self) -> Option<&[GrainClock]> {
-        self.clocks.as_deref()
-    }
-
-    /// Advances every shard's window to timestamp `t` without recording
-    /// anything — the engine-level twin of
-    /// [`TimedWindow::advance_to`](memento_core::TimedWindow::advance_to).
-    ///
-    /// Each shard owns a [`GrainClock`] replica over the shared geometry;
-    /// all ingest flows through the single router, so the replicas observe
-    /// the same global position and agree on the rotation count (keeping a
-    /// clock per shard leaves room for worker-local advancement if routing
-    /// ever decentralizes). When rotations are due, the global position
-    /// advances first and every shard then ships — the rotations land in
-    /// each shipment's trailing skip (gap stamps are taken eagerly at push
-    /// time, so buffered keys keep their pre-advance positions) and each
-    /// worker executes its closed-form `skip` *now*, in parallel, instead
-    /// of at its next ingest. Zero rotations — within a grain, or while
-    /// records run ahead of schedule — touch nothing: no shipment, no
-    /// worker wakeup. Non-monotone `t` clamps per the clock policy.
-    ///
-    /// # Panics
-    /// Panics unless the engine was built with
-    /// [`Self::with_grain_clock`].
-    pub fn advance_to(&mut self, t: u64) {
-        let mut state = self.state.lock().expect("router state poisoned");
-        let position = state.position();
-        let rotations = {
-            let clocks = self
-                .clocks
-                .as_mut()
-                .expect("advance_to requires an engine built with with_grain_clock(map)");
-            let mut rotations = 0;
-            for clock in clocks.iter_mut() {
-                rotations = clock.observe(t, position);
-            }
-            rotations
-        };
-        if rotations > 0 {
-            state.advance(rotations);
-            for shard in 0..self.workers.len() {
-                self.ship_shard(&mut state, shard);
-            }
-        }
-    }
-
-    /// A wait-free handle answering [`WindowQuery`] from the latest
-    /// published snapshot: cheap to clone, `Send + Sync`, stale by at most
-    /// one publication interval, and never touching the worker FIFOs.
-    pub fn reader(&self) -> SnapshotReader<K> {
-        SnapshotReader::new(Arc::clone(&self.hub), self.name, self.error_bound)
-    }
-
     /// Overrides the per-shard batch size at which buffered keys are shipped
-    /// to the workers (default [`DEFAULT_FLUSH_THRESHOLD`]).
+    /// to the workers (default [`crate::DEFAULT_FLUSH_THRESHOLD`]).
     #[deprecated(
         since = "0.2.0",
         note = "configure the query plane through `with_policy(PublishPolicy { .. })`; \
@@ -301,311 +131,83 @@ impl<K: Eq + Hash + Clone + Send + Sync + 'static> ShardedEstimator<K> {
         assert!(threshold > 0, "flush threshold must be positive");
         self.flush_threshold = threshold;
     }
-
-    /// The shard owning `key`: the workspace-wide
-    /// [`fasthash::route`] helper — one fast hash per routed key,
-    /// deterministic across runs and processes.
-    fn shard_of(&self, key: &K) -> usize {
-        fasthash::route(key, self.workers.len())
-    }
-
-    /// Ships one shard's gap-stamped keys plus the trailing skip that
-    /// advances the shard's window to the current global position: the
-    /// worker replays `skip(gap)` before each key (through the estimator's
-    /// fused `update_batch_positioned` path) and a final `skip(tail)` for
-    /// the packets routed elsewhere after the shard's last key. Ships a
-    /// tail-only skip when the shard has no buffered keys but has fallen
-    /// behind the global position.
-    fn ship_shard(&self, state: &mut Router<K>, shard: usize) {
-        let Some((gaps, keys, tail)) = state.take_shipment(shard) else {
-            return;
-        };
-        self.workers[shard].send(Box::new(move |est| {
-            if !keys.is_empty() {
-                est.update_batch_positioned(&gaps, &keys);
-            }
-            if tail > 0 {
-                est.skip(tail);
-            }
-        }));
-        self.shipped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Ships every shard's pending buffer and advances every shard to the
-    /// current global stream position, without publishing a snapshot.
-    fn ship_all(&self) {
-        let mut state = self.state.lock().expect("router state poisoned");
-        for shard in 0..self.workers.len() {
-            self.ship_shard(&mut state, shard);
-        }
-    }
-
-    /// Publishes a snapshot if the periodic cadence is due.
-    fn maybe_publish(&self, state: &mut Router<K>) {
-        if self.policy.every_batches > 0
-            && self.shipped.load(Ordering::Relaxed) >= self.policy.every_batches
-        {
-            self.publish_epoch(state);
-        }
-    }
-
-    /// Ships all buffers (position sync), allocates the next epoch and
-    /// enqueues one incremental freeze job ([`freeze_delta`]
-    /// (WindowQuery::freeze_delta)) per worker FIFO. Epochs are allocated
-    /// under the router lock, so epoch order equals enqueue order on every
-    /// FIFO — which is what makes them complete in order at the hub (and
-    /// what lets the hub's stateful assembler apply patches in order).
-    ///
-    /// **Unchanged-engine short circuit:** every state change since the
-    /// previous publication — buffered keys, position advances — turns into
-    /// a shipment during the ship-all loop above, so `shipped == 0`
-    /// afterwards means the shards are bit-identical to what the last
-    /// freeze round saw. When additionally every allocated epoch has been
-    /// published (no freeze jobs in flight), the freeze round would produce
-    /// all-empty patches — so the latest snapshot is re-published under the
-    /// new epoch instead, without touching a worker. The epoch still
-    /// advances (readers still observe the publication); the workers just
-    /// never hear about it.
-    fn publish_epoch(&self, state: &mut Router<K>) -> u64 {
-        for shard in 0..self.workers.len() {
-            self.ship_shard(state, shard);
-        }
-        let unchanged = self.shipped.swap(0, Ordering::Relaxed) == 0;
-        if unchanged && self.hub.quiescent() {
-            // Epoch allocation and the quiescence check both happen under
-            // the router lock, so no worker delivery can race the restamp.
-            let epoch = self.hub.begin_epoch();
-            if self
-                .hub
-                .publish_restamped(epoch, |snap| snap.restamped(epoch))
-            {
-                return epoch;
-            }
-            // Nothing published yet (first publication of an empty
-            // engine): fall through to a real freeze round for this epoch.
-            self.enqueue_freezes(epoch);
-            return epoch;
-        }
-        let epoch = self.hub.begin_epoch();
-        self.enqueue_freezes(epoch);
-        epoch
-    }
-
-    /// Enqueues one incremental freeze job per worker FIFO for `epoch`.
-    fn enqueue_freezes(&self, epoch: u64) {
-        self.freezes.fetch_add(1, Ordering::Relaxed);
-        for (shard, worker) in self.workers.iter().enumerate() {
-            let hub = Arc::clone(&self.hub);
-            worker.send(Box::new(move |est| {
-                hub.deliver(epoch, shard, est.freeze_delta());
-            }));
-        }
-    }
-
-    /// Number of freeze rounds actually enqueued to the workers — excludes
-    /// re-stamped publications of an unchanged engine. Diagnostics for the
-    /// short-circuit tests.
-    #[doc(hidden)]
-    pub fn freeze_rounds(&self) -> usize {
-        self.freezes.load(Ordering::Relaxed)
-    }
-
-    /// Publishes a fresh snapshot *now* — ships all pending buffers,
-    /// freezes every shard at the current global position, waits for the
-    /// merged snapshot to appear in the double buffer — and returns its
-    /// epoch. This is the explicit synchronization point: after
-    /// `publish_now` returns, every reader observes a snapshot at least
-    /// this fresh.
-    pub fn publish_now(&self) -> u64 {
-        let epoch = {
-            let mut state = self.state.lock().expect("router state poisoned");
-            self.publish_epoch(&mut state)
-        };
-        self.hub.wait_published(epoch);
-        epoch
-    }
-
-    /// Flushes every shard's pending buffer and publishes a snapshot.
-    #[deprecated(since = "0.2.0", note = "use `publish_now()`")]
-    pub fn flush(&self) {
-        self.publish_now();
-    }
-
-    /// The historical FIFO piggyback query path: ships all pending buffers,
-    /// then runs `f` on shard `shard`'s worker thread after everything
-    /// enqueued before it. Kept (hidden) so differential tests can compare
-    /// snapshot answers against flush-then-FIFO answers; everything else
-    /// should go through [`WindowQuery`] or [`Self::reader`].
-    #[doc(hidden)]
-    pub fn query_via_fifo<R, F>(&self, shard: usize, f: F) -> R
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut BoxedEstimator<K>) -> R + Send + 'static,
-    {
-        self.ship_all();
-        self.workers[shard].call(f)
-    }
-
-    /// The snapshot every query method answers from: the latest published
-    /// one, after forcing a publication when the policy says queries must
-    /// observe everything ingested so far (or when nothing was published
-    /// yet).
-    fn read_snapshot(&self) -> Arc<EngineSnapshot<K>> {
-        if self.policy.on_query || self.hub.latest().is_none() {
-            self.publish_now();
-        }
-        self.hub.latest().expect("publish_now published an epoch")
-    }
-}
-
-impl<K: Eq + Hash + Clone + Send + Sync + 'static> std::fmt::Debug for ShardedEstimator<K> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedEstimator")
-            .field("name", &self.name)
-            .field("shards", &self.workers.len())
-            .field("flush_threshold", &self.flush_threshold)
-            .field("policy", &self.policy)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<K: Eq + Hash + Clone + Send + Sync + 'static> WindowQuery<K> for ShardedEstimator<K> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Answered from the latest published [`EngineSnapshot`] (the owning
-    /// shard's frozen summary — same key routing as ingest). Under the
-    /// default [`PublishPolicy::on_query`] a publication is forced first,
-    /// so the answer reflects every preceding update exactly like the old
-    /// flush-then-FIFO path; with `on_query = false` the answer is stale by
-    /// at most one publication interval.
-    fn estimate(&self, key: &K) -> f64 {
-        self.read_snapshot().estimate(key)
-    }
-
-    /// Answered from the latest published [`EngineSnapshot`]: per-shard
-    /// sets concatenated in shard order, re-sorted by descending estimate.
-    /// Same staleness semantics as [`Self::estimate`].
-    fn heavy_hitters(&self, threshold: f64) -> Vec<(K, f64)> {
-        self.read_snapshot().heavy_hitters(threshold)
-    }
-
-    /// Global stream position of the snapshot being read. Under the default
-    /// on-query publication this doubles as the drain barrier the
-    /// throughput harnesses rely on: the publication's freeze jobs run
-    /// after every shipped batch on every worker FIFO.
-    fn processed(&self) -> u64 {
-        self.read_snapshot().processed()
-    }
-
-    fn error_bound(&self) -> f64 {
-        // A flow lives entirely in one shard whose window spans the full
-        // global stream, so the merged per-flow error is the worst
-        // per-shard bound, not their sum.
-        self.error_bound
-    }
 }
 
 impl<K: Eq + Hash + Clone + Send + Sync + 'static> SlidingWindowEstimator<K>
     for ShardedEstimator<K>
 {
     fn update(&mut self, key: K) {
-        // `&mut self` rules out concurrent queries, so holding the state
-        // lock across a (possibly blocking) ship cannot deadlock.
-        let shard = self.shard_of(&key);
-        let mut state = self.state.lock().expect("router state poisoned");
-        if state.push(shard, key, self.flush_threshold) >= self.flush_threshold {
-            self.ship_shard(&mut state, shard);
-            self.maybe_publish(&mut state);
-        }
+        self.route(key);
     }
 
-    /// Partitions the batch by key hash and ships each shard's share in
-    /// flush-threshold-sized gap-stamped messages, preserving per-shard
-    /// arrival order (the order across shards is immaterial: shards are
-    /// disjoint key sets and the gap stamps carry the exact cross-shard
-    /// positions). Keys beyond the last full message stay buffered until
-    /// the next update or query.
-    ///
-    /// Routes are computed tile-wise: a straight-line pass hashes a fixed
-    /// tile of keys into a stack array before the branchy push/ship loop
-    /// consumes them, so the hashing pipelines ahead of the buffer
-    /// bookkeeping instead of serializing with it. Push order — and with
-    /// it every gap stamp — is exactly that of the per-key loop.
+    /// Routes the batch tile-wise and ships each shard's share in
+    /// gap-stamped messages (see the engine's batch routing).
     fn update_batch(&mut self, keys: &[K]) {
-        const TILE: usize = 64;
-        let mut state = self.state.lock().expect("router state poisoned");
-        let mut routes = [0usize; TILE];
-        for tile in keys.chunks(TILE) {
-            for (route, key) in routes.iter_mut().zip(tile) {
-                *route = self.shard_of(key);
-            }
-            for (key, &shard) in tile.iter().zip(&routes) {
-                if state.push(shard, key.clone(), self.flush_threshold) >= self.flush_threshold {
-                    self.ship_shard(&mut state, shard);
-                    self.maybe_publish(&mut state);
-                }
-            }
-        }
+        self.route_batch(keys);
     }
 
-    /// Processes a gap-stamped batch at the engine level: before each key,
-    /// the *global* stream position advances over its gap. This is the time
-    /// plane's ingest path (`TimedWindow::record_timed` stamps the grain
-    /// schedule's rotations as gaps) and is much cheaper than the trait
-    /// default here: because the router's `push` stamps each entry's gap
-    /// eagerly at routing time, advancing the router mid-batch folds the
-    /// gap into the *next* entry's stamp on every shard — no shipment per
-    /// gap, no per-gap worker wakeup. Shards that receive no key after a
-    /// gap are advanced by the trailing skip of their next shipment, as
-    /// always. Observable behaviour is exactly the trait contract:
-    /// `skip(gaps[i]); update(keys[i])` in order.
+    /// Advances the *global* stream position over each key's gap at
+    /// routing time, folding it into the next gap stamp on every shard
+    /// instead of shipping per gap (the time plane's ingest path).
     fn update_batch_positioned(&mut self, gaps: &[u64], keys: &[K]) {
-        assert_eq!(gaps.len(), keys.len(), "one gap stamp per key");
-        const TILE: usize = 64;
-        let mut state = self.state.lock().expect("router state poisoned");
-        let mut routes = [0usize; TILE];
-        for (tile_keys, tile_gaps) in keys.chunks(TILE).zip(gaps.chunks(TILE)) {
-            for (route, key) in routes.iter_mut().zip(tile_keys) {
-                *route = self.shard_of(key);
-            }
-            for ((key, &shard), &gap) in tile_keys.iter().zip(&routes).zip(tile_gaps) {
-                if gap > 0 {
-                    state.advance(gap);
-                }
-                if state.push(shard, key.clone(), self.flush_threshold) >= self.flush_threshold {
-                    self.ship_shard(&mut state, shard);
-                    self.maybe_publish(&mut state);
-                }
-            }
-        }
+        self.route_positioned(gaps, keys);
     }
 
     /// Advances the global stream position over `n` packets observed
     /// outside this engine (e.g. by another engine of a larger deployment).
-    /// Pending buffers ship first so already-routed keys keep their
-    /// pre-skip positions; the advance itself then propagates to the shards
-    /// as part of the gap stamps of their next shipments.
     fn skip(&mut self, n: u64) {
-        let mut state = self.state.lock().expect("router state poisoned");
-        for shard in 0..self.workers.len() {
-            self.ship_shard(&mut state, shard);
-        }
-        state.advance(n);
+        self.skip_positions(n);
     }
 
     fn space_bytes(&self) -> usize {
-        self.ship_all();
-        (0..self.workers.len())
-            .map(|shard| self.workers[shard].call(|est| est.space_bytes()))
-            .sum()
+        self.total_space_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BoxedHhh, HhhEngineSnapshot, PublishPolicy, ShardedHhh};
+    use memento_core::{GrainMap, HhhQuery, WindowQuery};
+    use memento_hierarchy::{Prefix1D, SrcHierarchy};
+    use memento_sketches::fasthash;
+
+    /// Reads either snapshot kind back as (epoch, processed, estimates of a
+    /// fixed probe set), so an engine-level test takes the HHH engine as one
+    /// more input.
+    trait Probe: Shard {
+        fn probe(snapshot: &Self::Snapshot) -> (u64, u64, Vec<f64>);
+    }
+
+    impl Probe for BoxedEstimator<u64> {
+        /// Keys `0..64`, which cover every test stream's keys.
+        fn probe(s: &EngineSnapshot<u64>) -> (u64, u64, Vec<f64>) {
+            let estimates = (0..64u64).map(|key| s.estimate(&key)).collect();
+            (s.epoch(), s.processed(), estimates)
+        }
+    }
+
+    impl Probe for BoxedHhh<SrcHierarchy> {
+        /// Every /8.
+        fn probe(s: &HhhEngineSnapshot<SrcHierarchy>) -> (u64, u64, Vec<f64>) {
+            let estimates = (0..=255u32)
+                .map(|a| s.estimate(&Prefix1D::new(a << 24, 8)))
+                .collect();
+            (s.epoch(), s.processed(), estimates)
+        }
+    }
+
+    /// Probes the latest published snapshot.
+    fn latest<A: Probe>(engine: &Engine<A>) -> (u64, u64, Vec<f64>) {
+        A::probe(&engine.reader().latest().expect("published"))
+    }
+
+    /// `n` hosts spread over 42.0.0.0/8.
+    fn hosts(n: u32) -> Vec<u32> {
+        (0..n)
+            .map(|i| u32::from_be_bytes([42, (i % 61) as u8, (i % 17) as u8, (i % 5) as u8]))
+            .collect()
+    }
 
     #[test]
     fn routes_all_packets_and_counts_them() {
@@ -695,32 +297,39 @@ mod tests {
     fn positioned_batches_equal_interleaved_skip_and_update() {
         // The engine-level `update_batch_positioned` override (the time
         // plane's ingest path) must match the trait contract: the
-        // per-key `skip(gap); update(key)` interleaving.
-        let window = 900;
-        let mut positioned: ShardedEstimator<u64> = ShardedEstimator::exact(3, window);
-        let mut interleaved: ShardedEstimator<u64> = ShardedEstimator::exact(3, window);
-        let n = 6_000u64;
-        let gaps: Vec<u64> = (0..n)
-            .map(|i| [0, 0, 1, 0, 7, 0, 0, 350][(i % 8) as usize])
-            .collect();
-        let keys: Vec<u64> = (0..n).map(|i| (i * 13) % 41).collect();
-        for (gap_part, key_part) in gaps.chunks(997).zip(keys.chunks(997)) {
-            positioned.update_batch_positioned(gap_part, key_part);
-        }
-        for (&gap, &key) in gaps.iter().zip(&keys) {
-            if gap > 0 {
-                interleaved.skip(gap);
+        // per-item `skip(gap); update(item)` interleaving.
+        fn check<A: Probe>(make: impl Fn() -> Engine<A>, items: &[A::Item]) {
+            let mut positioned = make();
+            let mut interleaved = make();
+            let gaps: Vec<u64> = (0..items.len())
+                .map(|i| [0, 0, 1, 0, 7, 0, 0, 350][i % 8])
+                .collect();
+            for (gap_part, item_part) in gaps.chunks(997).zip(items.chunks(997)) {
+                positioned.route_positioned(gap_part, item_part);
             }
-            interleaved.update(key);
+            for (&gap, item) in gaps.iter().zip(items) {
+                if gap > 0 {
+                    interleaved.skip_positions(gap);
+                }
+                interleaved.route(item.clone());
+            }
+            positioned.publish_now();
+            interleaved.publish_now();
+            let (_, at, estimates) = latest(&positioned);
+            let (_, interleaved_at, interleaved_estimates) = latest(&interleaved);
+            assert_eq!(estimates, interleaved_estimates);
+            assert_eq!(at, interleaved_at);
         }
-        for key in 0..41u64 {
-            assert_eq!(
-                positioned.estimate(&key),
-                interleaved.estimate(&key),
-                "key {key}"
+        let window = 900;
+        let keys: Vec<u64> = (0..6_000u64).map(|i| (i * 13) % 41).collect();
+        check(|| ShardedEstimator::exact(3, window), &keys);
+        // H-Memento at τ = 1 is deterministic per seed.
+        for shards in [1, 2, 4] {
+            check(
+                || ShardedHhh::h_memento(SrcHierarchy, shards, 1_024, window, 1.0, 0.01, 5),
+                &hosts(6_000),
             );
         }
-        assert_eq!(positioned.processed(), interleaved.processed());
     }
 
     #[test]
@@ -783,60 +392,68 @@ mod tests {
 
     #[test]
     fn unchanged_engine_republishes_without_freezing() {
-        let mut sharded: ShardedEstimator<u64> = ShardedEstimator::wcss(2, 64, 8_000);
+        fn check<A: Probe>(mut engine: Engine<A>, items: &[A::Item]) {
+            engine.route_batch(items);
+            let e1 = engine.publish_now();
+            let rounds = engine.freeze_rounds();
+            let (_, processed, estimates) = latest(&engine);
+            assert_eq!(processed, items.len() as u64);
+            // Publishing an untouched engine must advance the epoch without
+            // enqueueing a single freeze job (the workers never hear about it).
+            let e2 = engine.publish_now();
+            let e3 = engine.publish_now();
+            assert!(e1 < e2 && e2 < e3, "epochs must keep advancing");
+            assert_eq!(engine.freeze_rounds(), rounds, "short circuit froze");
+            // The restamped snapshot carries the new epoch and the old answers.
+            assert_eq!(latest(&engine), (e3, processed, estimates));
+            // Any ingest — even a single packet — re-arms the real freeze path.
+            engine.route(items[1].clone());
+            let e4 = engine.publish_now();
+            assert!(e4 > e3);
+            assert!(engine.freeze_rounds() > rounds, "ingest must re-freeze");
+            assert_eq!(latest(&engine).1, processed + 1);
+            // A bare position advance (skip) also counts as a change.
+            let rounds = engine.freeze_rounds();
+            engine.skip_positions(5_000);
+            engine.publish_now();
+            assert!(engine.freeze_rounds() > rounds, "skip must re-freeze");
+            assert_eq!(latest(&engine).1, processed + 5_001);
+        }
         let keys: Vec<u64> = (0..4_000u64).map(|i| i % 23).collect();
-        sharded.update_batch(&keys);
-        let e1 = sharded.publish_now();
-        let rounds = sharded.freeze_rounds();
-        // Publishing an untouched engine must advance the epoch without
-        // enqueueing a single freeze job (the workers never hear about it).
-        let e2 = sharded.publish_now();
-        let e3 = sharded.publish_now();
-        assert!(e1 < e2 && e2 < e3, "epochs must keep advancing");
-        assert_eq!(sharded.freeze_rounds(), rounds, "short circuit froze");
-        // The restamped snapshot carries the new epoch and the old answers.
-        let snap = sharded.reader().latest().expect("published");
-        assert_eq!(snap.epoch(), e3);
-        assert_eq!(snap.processed(), 4_000);
-        assert_eq!(snap.estimate(&1), sharded.estimate(&1));
-        // Any ingest — even a single packet — re-arms the real freeze path.
-        sharded.update(1);
-        let e4 = sharded.publish_now();
-        assert!(e4 > e3);
-        assert!(sharded.freeze_rounds() > rounds, "ingest must re-freeze");
-        assert_eq!(sharded.processed(), 4_001);
-        // A bare position advance (skip) also counts as a change.
-        let rounds = sharded.freeze_rounds();
-        sharded.skip(5_000);
-        sharded.publish_now();
-        assert!(sharded.freeze_rounds() > rounds, "skip must re-freeze");
-        assert_eq!(sharded.processed(), 9_001);
+        check(ShardedEstimator::wcss(2, 64, 8_000), &keys);
+        let hhh = ShardedHhh::h_memento(SrcHierarchy, 2, 1_024, 8_000, 1.0, 0.01, 3);
+        check(hhh, &hosts(4_000));
     }
 
     #[test]
     fn engine_advance_to_expires_by_time() {
-        // A full window of idle ticks must expire everything on every
-        // shard, with the rotations shipped by `advance_to` itself (no
-        // ingest afterwards to piggyback on).
-        let window = 400u64;
-        let map = GrainMap::new(100 * window, window, 8);
-        let mut sharded: ShardedEstimator<u64> =
-            ShardedEstimator::exact(2, window as usize).with_grain_clock(map);
-        sharded.advance_to(5);
-        for i in 0..window {
-            sharded.update(i % 13);
+        // Two windows of idle ticks must expire everything on every shard
+        // down to `residue`, with the rotations shipped by `advance_to`
+        // itself (no ingest afterwards to piggyback on).
+        fn check<A: Probe>(engine: Engine<A>, window: u64, items: &[A::Item], residue: f64) {
+            let map = GrainMap::new(100 * window, window, 8);
+            let mut engine = engine.with_grain_clock(map);
+            let hottest = |engine: &Engine<A>| {
+                engine.publish_now();
+                latest(engine).2.into_iter().fold(0.0, f64::max)
+            };
+            engine.advance_to(5);
+            for item in items {
+                engine.route(item.clone());
+            }
+            assert!(hottest(&engine) > residue);
+            engine.advance_to(5 + 2 * map.window_ticks());
+            let left = hottest(&engine);
+            assert!(left <= residue, "{left} survived the gap");
+            // The one clock observed the schedule.
+            let clock = engine.grain_clock().expect("clock configured");
+            assert_eq!(clock.last_tick(), 5 + 2 * map.window_ticks());
         }
-        assert!(sharded.estimate(&1) > 0.0);
-        sharded.advance_to(5 + 2 * map.window_ticks());
-        for key in 0..13u64 {
-            assert_eq!(sharded.estimate(&key), 0.0, "key {key} survived the gap");
-        }
-        // Every per-shard clock replica observed the same schedule.
-        let clocks = sharded.grain_clocks().expect("clock configured");
-        assert_eq!(clocks.len(), 2);
-        assert!(clocks
-            .iter()
-            .all(|c| c.last_tick() == 5 + 2 * map.window_ticks()));
+        let keys: Vec<u64> = (0..400u64).map(|i| i % 13).collect();
+        check(ShardedEstimator::exact(2, 400), 400, &keys, 0.0);
+        // A hot /8 keeps only the per-shard one-sided slack.
+        let hhh = ShardedHhh::h_memento(SrcHierarchy, 2, 2_048, 4_000, 1.0, 0.01, 5);
+        check(hhh, 4_000, &hosts(4_000), 0.25 * 4_000.0);
     }
 
     #[test]
@@ -871,7 +488,7 @@ mod tests {
                     "key {key} diverged at {shards} shards"
                 );
             }
-            let engine_clock = &engine.grain_clocks().expect("clock configured")[0];
+            let engine_clock = engine.grain_clock().expect("clock configured");
             assert_eq!(engine_clock.last_tick(), wrapped.clock().last_tick());
             assert_eq!(engine_clock.clamped(), wrapped.clock().clamped());
             assert!(engine_clock.clamped() > 0, "test must exercise the clamp");

@@ -1,143 +1,97 @@
-//! Hash-partitioned multi-core engine for [`HhhAlgorithm`]s.
+//! Hierarchical heavy hitters on the sharded [`Engine`].
 
-use std::hash::Hash;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-
-use memento_core::traits::{HhhAlgorithm, HhhQuery};
-use memento_core::HMemento;
+use memento_core::traits::HhhAlgorithm;
+use memento_core::{FrozenHhh, HMemento};
 use memento_hierarchy::Hierarchy;
-use memento_sketches::fasthash;
 
-use crate::router::Router;
-use crate::snapshot::{HhhEngineSnapshot, HhhHub, HhhSnapshotReader, PublishPolicy, SnapshotHub};
-use crate::worker::ShardWorker;
-use crate::{DEFAULT_FLUSH_THRESHOLD, DEFAULT_QUEUE_DEPTH};
+use crate::engine::{Assembler, Engine, Reader, Shard};
+use crate::snapshot::HhhEngineSnapshot;
 
 /// The boxed per-shard HHH algorithm each worker thread owns.
 pub type BoxedHhh<Hi> = Box<dyn HhhAlgorithm<Hi> + Send>;
 
-/// A hierarchical heavy-hitters algorithm scaled across worker threads,
-/// with **global-position windows**.
+/// A hierarchical heavy-hitters algorithm scaled across worker threads:
+/// the [`Engine`] over [`BoxedHhh`]s.
 ///
-/// Items are hash-partitioned over `N` shards, each a worker thread owning
-/// an independent HHH instance over a **full window of `W` packets at the
-/// global stream position**: the router stamps every item with the count
-/// of packets routed to other shards since that shard's previous item, and
-/// the worker replays [`skip(gap)`](HhhAlgorithm::skip) before each item
-/// (the D-Memento-style bulk window update). Unlike
-/// per-flow estimation, a *prefix* aggregates many items that may hash to
-/// different shards, so the merge is summation rather than routing:
-/// [`HhhQuery::estimate`] sums the per-shard prefix estimates.
-///
-/// [`HhhQuery::output`] is re-derived for full-window shards: a shard
-/// sees only ~`1/N` of the traffic but measures it against the full `W`, so
-/// a globally-`θ`-heavy prefix shows up in some shard at only `θ/N` of that
-/// shard's window — candidates are therefore collected at the per-shard
-/// threshold `θ/N` and the union is re-validated against the global `θ·W`
-/// bar using the summed (upper-bound) estimates, which filters the
-/// prefixes that cleared `θ/N` in their shard without being `θ`-heavy
-/// globally.
-///
-/// **Queries are served from published snapshots** (PR 7): per the
-/// [`PublishPolicy`], the engine periodically freezes every shard's
-/// candidate set with its frequency bounds into an immutable
-/// [`HhhEngineSnapshot`] that the engine's own [`HhhQuery`] methods — and
-/// any number of wait-free [`HhhSnapshotReader`] handles
-/// ([`Self::reader`]) — answer from without touching a worker FIFO. With
-/// the default `on_query = true` policy the engine's own queries force a
-/// publication first, reproducing the historical flush-then-read semantics
-/// bit-for-bit; readers observe bounded staleness (≤ one publication
-/// interval) instead. The old FIFO piggyback path survives only as the
-/// `#[doc(hidden)]` [`Self::query_via_fifo`] escape hatch for differential
-/// tests.
-pub struct ShardedHhh<Hi: Hierarchy + 'static> {
-    name: &'static str,
-    workers: Vec<ShardWorker<BoxedHhh<Hi>>>,
-    /// Gap-stamped buffers and position bookkeeping (see
-    /// [`crate::ShardedEstimator`] for the locking rationale).
-    state: Mutex<Router<Hi::Item>>,
-    flush_threshold: usize,
-    /// Snapshot publication cadence and on-query behaviour.
-    policy: PublishPolicy,
-    /// Batches shipped since the last publication (mutated only under the
-    /// router lock; atomic so `&self` query methods can read it).
-    shipped: AtomicUsize,
-    /// Snapshot assembly and the epoch double buffer, shared with every
-    /// [`HhhSnapshotReader`] handle.
-    hub: Arc<HhhHub<Hi>>,
-    /// Whether the inner algorithm has interval (landmark) semantics, cached
-    /// at construction.
-    interval: bool,
-}
+/// Unlike per-flow estimation, a *prefix* aggregates many items that may
+/// hash to different shards, so the merge is summation rather than
+/// routing: `estimate` sums the per-shard prefix estimates. `output` is
+/// re-derived for full-window shards: a shard sees only ~`1/N` of the
+/// traffic but measures it against the full `W`, so a globally-`θ`-heavy
+/// prefix shows up in some shard at only `θ/N` of that shard's window —
+/// candidates are therefore collected at the per-shard threshold `θ/N` and
+/// the union is re-validated against the global `θ·W` bar using the summed
+/// (upper-bound) estimates (see [`HhhEngineSnapshot`]).
+pub type ShardedHhh<Hi> = Engine<BoxedHhh<Hi>>;
 
-impl<Hi: Hierarchy + Send + Sync + 'static> ShardedHhh<Hi>
+/// A [`Reader`] of a [`ShardedHhh`]'s snapshots.
+pub type HhhSnapshotReader<Hi> = Reader<BoxedHhh<Hi>>;
+
+impl<Hi> Shard for BoxedHhh<Hi>
 where
+    Hi: Hierarchy + Send + Sync + 'static,
     Hi::Item: Send + 'static,
     Hi::Prefix: Send + Sync + 'static,
 {
-    /// Creates a sharded HHH engine with `shards` workers, each owning the
-    /// algorithm built by `factory(shard_index)`. Every per-shard algorithm
-    /// must be configured with the **full global window `W`** — the router
-    /// keeps it at the global stream position via
-    /// [`skip`](HhhAlgorithm::skip). `window` is that global window size
-    /// when known; it enables [`output`](HhhQuery::output)'s `θ/N`
-    /// candidate collection and `θ·W` re-validation — pass `None` only for
-    /// algorithms without a meaningful window. The engine starts under
-    /// [`PublishPolicy::default`]; override with [`Self::with_policy`].
-    ///
-    /// # Panics
-    /// Panics when `shards` is zero, when a factory-built algorithm reports
-    /// itself as not [`mergeable`](HhhAlgorithm::mergeable) — global-position
-    /// sharded windows require algorithms whose `skip` can advance the
-    /// window over packets recorded elsewhere — or when it cannot
-    /// [`freeze`](HhhQuery::freeze) a snapshot summary (the query plane
-    /// serves every read from published snapshots).
-    pub fn new<F>(name: &'static str, shards: usize, window: Option<usize>, mut factory: F) -> Self
-    where
-        F: FnMut(usize) -> BoxedHhh<Hi>,
-    {
-        assert!(shards > 0, "shard count must be positive");
-        let mut workers = Vec::with_capacity(shards);
-        let mut interval = false;
-        for i in 0..shards {
-            let algorithm = factory(i);
-            assert!(
-                algorithm.mergeable(),
-                "{} cannot answer global-position window queries across item partitions \
-                 (its skip cannot anchor a shard's window at the global stream position); \
-                 it cannot be sharded",
-                algorithm.name()
-            );
-            assert!(
-                algorithm.freeze().is_some(),
-                "{} cannot freeze a snapshot summary; the sharded query plane serves \
-                 every read from published snapshots and requires HhhQuery::freeze",
-                algorithm.name()
-            );
-            interval = algorithm.is_interval();
-            workers.push(ShardWorker::spawn(
-                format!("{name}-shard-{i}"),
-                DEFAULT_QUEUE_DEPTH,
-                algorithm,
-            ));
+    type Item = Hi::Item;
+    /// A full immutable summary: candidates with their frequency bounds.
+    type Part = FrozenHhh<Hi>;
+    type Snapshot = HhhEngineSnapshot<Hi>;
+
+    fn assert_shardable(&self) {
+        assert!(
+            self.mergeable(),
+            "{} cannot answer global-position window queries across item partitions \
+             (its skip cannot anchor a shard's window at the global stream position); \
+             it cannot be sharded",
+            self.name()
+        );
+        assert!(
+            self.freeze().is_some(),
+            "{} cannot freeze a snapshot summary; the sharded query plane serves \
+             every read from published snapshots and requires HhhQuery::freeze",
+            self.name()
+        );
+    }
+
+    /// HHH queries report no additive error bound.
+    fn error_bound(&self) -> f64 {
+        0.0
+    }
+
+    fn replay(&mut self, gaps: &[u64], items: &[Hi::Item], tail: u64) {
+        if !items.is_empty() {
+            self.update_batch_positioned(gaps, items);
         }
-        let hub = Arc::new(SnapshotHub::new(
-            shards,
-            Box::new(move |epoch, parts| HhhEngineSnapshot::assemble(epoch, name, window, parts)),
-        ));
-        ShardedHhh {
-            name,
-            workers,
-            state: Mutex::new(Router::new(shards)),
-            flush_threshold: DEFAULT_FLUSH_THRESHOLD,
-            policy: PublishPolicy::default(),
-            shipped: AtomicUsize::new(0),
-            hub,
-            interval,
+        if tail > 0 {
+            self.skip(tail);
         }
     }
 
+    fn freeze_part(&mut self) -> FrozenHhh<Hi> {
+        self.freeze()
+            .expect("freeze capability checked at construction")
+    }
+
+    fn space_bytes(&self) -> usize {
+        (**self).space_bytes()
+    }
+
+    fn assembler(name: &'static str, _: usize, _: f64) -> Assembler<Self> {
+        Box::new(move |epoch, parts| HhhEngineSnapshot::assemble(epoch, name, parts))
+    }
+
+    fn restamped(snapshot: &HhhEngineSnapshot<Hi>, epoch: u64) -> HhhEngineSnapshot<Hi> {
+        snapshot.restamped(epoch)
+    }
+}
+
+impl<Hi> ShardedHhh<Hi>
+where
+    Hi: Hierarchy + Send + Sync + 'static,
+    Hi::Item: Send + 'static,
+    Hi::Prefix: Send + Sync + 'static,
+{
     /// A sharded [`HMemento`]: every shard keeps a full `W`-packet window
     /// at the global stream position with the full `k` counters (same error
     /// bound as the single instance; the `N×` counter memory is the price
@@ -150,12 +104,8 @@ where
         tau: f64,
         delta: f64,
         seed: u64,
-    ) -> Self
-    where
-        Hi::Prefix: Hash,
-    {
-        assert!(shards > 0, "shard count must be positive");
-        Self::new("sharded-h-memento", shards, Some(window), move |i| {
+    ) -> Self {
+        Self::new("sharded-h-memento", shards, move |i| {
             let shard_seed = seed.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             Box::new(HMemento::new(
                 hier.clone(),
@@ -167,257 +117,47 @@ where
             ))
         })
     }
-
-    /// Number of shards (worker threads).
-    pub fn shards(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Sets the snapshot [`PublishPolicy`] (builder style, for use at
-    /// construction: `ShardedHhh::h_memento(..).with_policy(..)`).
-    pub fn with_policy(mut self, policy: PublishPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// The engine's current snapshot [`PublishPolicy`].
-    pub fn policy(&self) -> PublishPolicy {
-        self.policy
-    }
-
-    /// A wait-free handle answering [`HhhQuery`] from the latest published
-    /// snapshot: cheap to clone, `Send + Sync`, stale by at most one
-    /// publication interval, and never touching the worker FIFOs.
-    pub fn reader(&self) -> HhhSnapshotReader<Hi> {
-        HhhSnapshotReader::new(Arc::clone(&self.hub), self.name)
-    }
-
-    /// The shard owning `item`: the same [`fasthash::route`] helper as the
-    /// estimator engine — one fast hash per routed item.
-    fn shard_of(&self, item: &Hi::Item) -> usize {
-        fasthash::route(item, self.workers.len())
-    }
-
-    /// Ships one shard's gap-stamped items plus the trailing skip that
-    /// advances the shard's window to the current global position
-    /// (tail-only skips included).
-    fn ship_shard(&self, state: &mut Router<Hi::Item>, shard: usize) {
-        let Some((gaps, items, tail)) = state.take_shipment(shard) else {
-            return;
-        };
-        self.workers[shard].send(Box::new(move |alg| {
-            if !items.is_empty() {
-                alg.update_batch_positioned(&gaps, &items);
-            }
-            if tail > 0 {
-                alg.skip(tail);
-            }
-        }));
-        self.shipped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Ships every shard's pending buffer and advances every shard to the
-    /// current global stream position, without publishing a snapshot.
-    fn ship_all(&self) {
-        let mut state = self.state.lock().expect("router state poisoned");
-        for shard in 0..self.workers.len() {
-            self.ship_shard(&mut state, shard);
-        }
-    }
-
-    /// Publishes a snapshot if the periodic cadence is due.
-    fn maybe_publish(&self, state: &mut Router<Hi::Item>) {
-        if self.policy.every_batches > 0
-            && self.shipped.load(Ordering::Relaxed) >= self.policy.every_batches
-        {
-            self.publish_epoch(state);
-        }
-    }
-
-    /// Ships all buffers (position sync), allocates the next epoch and
-    /// enqueues one freeze job per worker FIFO (see
-    /// `ShardedEstimator::publish_epoch` for the ordering argument).
-    fn publish_epoch(&self, state: &mut Router<Hi::Item>) -> u64 {
-        for shard in 0..self.workers.len() {
-            self.ship_shard(state, shard);
-        }
-        self.shipped.store(0, Ordering::Relaxed);
-        let epoch = self.hub.begin_epoch();
-        for (shard, worker) in self.workers.iter().enumerate() {
-            let hub = Arc::clone(&self.hub);
-            worker.send(Box::new(move |alg| {
-                hub.deliver(
-                    epoch,
-                    shard,
-                    alg.freeze()
-                        .expect("freeze capability checked at construction"),
-                );
-            }));
-        }
-        epoch
-    }
-
-    /// Publishes a fresh snapshot *now* — ships all pending buffers,
-    /// freezes every shard at the current global position, waits for the
-    /// merged snapshot to appear in the double buffer — and returns its
-    /// epoch.
-    pub fn publish_now(&self) -> u64 {
-        let epoch = {
-            let mut state = self.state.lock().expect("router state poisoned");
-            self.publish_epoch(&mut state)
-        };
-        self.hub.wait_published(epoch);
-        epoch
-    }
-
-    /// Flushes every shard's pending buffer and publishes a snapshot.
-    #[deprecated(since = "0.2.0", note = "use `publish_now()`")]
-    pub fn flush(&self) {
-        self.publish_now();
-    }
-
-    /// The historical FIFO piggyback query path: ships all pending buffers,
-    /// then runs `f` on shard `shard`'s worker thread after everything
-    /// enqueued before it. Kept (hidden) for differential tests; everything
-    /// else should go through [`HhhQuery`] or [`Self::reader`].
-    #[doc(hidden)]
-    pub fn query_via_fifo<R, F>(&self, shard: usize, f: F) -> R
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut BoxedHhh<Hi>) -> R + Send + 'static,
-    {
-        self.ship_all();
-        self.workers[shard].call(f)
-    }
-
-    /// The snapshot every query method answers from (see
-    /// `ShardedEstimator::read_snapshot`).
-    fn read_snapshot(&self) -> Arc<HhhEngineSnapshot<Hi>> {
-        if self.policy.on_query || self.hub.latest().is_none() {
-            self.publish_now();
-        }
-        self.hub.latest().expect("publish_now published an epoch")
-    }
 }
 
-impl<Hi: Hierarchy + 'static> std::fmt::Debug for ShardedHhh<Hi> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedHhh")
-            .field("name", &self.name)
-            .field("shards", &self.workers.len())
-            .field("flush_threshold", &self.flush_threshold)
-            .field("policy", &self.policy)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<Hi: Hierarchy + Send + Sync + 'static> HhhQuery<Hi> for ShardedHhh<Hi>
+impl<Hi> HhhAlgorithm<Hi> for ShardedHhh<Hi>
 where
-    Hi::Item: Send + 'static,
-    Hi::Prefix: Send + Sync + 'static,
-{
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// A prefix's traffic spreads over every shard, so the network-wide view
-    /// is the *sum* of the per-shard estimates — answered from the latest
-    /// published [`HhhEngineSnapshot`]. Under the default
-    /// [`PublishPolicy::on_query`] a publication is forced first, so the
-    /// answer reflects every preceding update exactly like the old
-    /// flush-then-FIFO path; with `on_query = false` it is stale by at most
-    /// one publication interval.
-    fn estimate(&self, prefix: &Hi::Prefix) -> f64 {
-        self.read_snapshot().estimate(prefix)
-    }
-
-    /// The union of the per-shard HHH sets collected at the per-shard
-    /// threshold `θ/N`, re-validated against the global `θ·W` threshold
-    /// (deduplicated, in prefix order) — answered from the latest published
-    /// snapshot, with the same staleness semantics as
-    /// [`Self::estimate`](HhhQuery::estimate).
-    fn output(&self, theta: f64) -> Vec<Hi::Prefix> {
-        self.read_snapshot().output(theta)
-    }
-
-    /// Global stream position of the snapshot being read (doubles as the
-    /// drain barrier under the default on-query publication).
-    fn processed(&self) -> u64 {
-        self.read_snapshot().processed()
-    }
-}
-
-impl<Hi: Hierarchy + Send + Sync + 'static> HhhAlgorithm<Hi> for ShardedHhh<Hi>
-where
+    Hi: Hierarchy + Send + Sync + 'static,
     Hi::Item: Send + 'static,
     Hi::Prefix: Send + Sync + 'static,
 {
     fn update(&mut self, item: Hi::Item) {
-        let shard = self.shard_of(&item);
-        let mut state = self.state.lock().expect("router state poisoned");
-        if state.push(shard, item, self.flush_threshold) >= self.flush_threshold {
-            self.ship_shard(&mut state, shard);
-            self.maybe_publish(&mut state);
-        }
+        self.route(item);
     }
 
-    /// Tile-wise routing, as in
-    /// `ShardedEstimator::update_batch`: a straight-line pass
-    /// hashes a fixed tile of items into a stack array before the branchy
-    /// push/ship loop consumes them, preserving push order (and every gap
-    /// stamp) exactly.
+    /// Routes the batch tile-wise and ships each shard's share in
+    /// gap-stamped messages (see the engine's batch routing).
     fn update_batch(&mut self, items: &[Hi::Item]) {
-        const TILE: usize = 64;
-        let mut state = self.state.lock().expect("router state poisoned");
-        let mut routes = [0usize; TILE];
-        for tile in items.chunks(TILE) {
-            for (route, item) in routes.iter_mut().zip(tile) {
-                *route = self.shard_of(item);
-            }
-            for (&item, &shard) in tile.iter().zip(&routes) {
-                if state.push(shard, item, self.flush_threshold) >= self.flush_threshold {
-                    self.ship_shard(&mut state, shard);
-                    self.maybe_publish(&mut state);
-                }
-            }
-        }
+        self.route_batch(items);
+    }
+
+    /// Advances the *global* stream position over each item's gap at
+    /// routing time, folding it into the next gap stamp on every shard
+    /// instead of shipping per gap.
+    fn update_batch_positioned(&mut self, gaps: &[u64], items: &[Hi::Item]) {
+        self.route_positioned(gaps, items);
     }
 
     /// Advances the global stream position over `n` packets observed
-    /// outside this engine. Pending buffers ship first so already-routed
-    /// items keep their pre-skip positions; the advance then propagates via
-    /// the gap stamps of the shards' next shipments.
+    /// outside this engine.
     fn skip(&mut self, n: u64) {
-        let mut state = self.state.lock().expect("router state poisoned");
-        for shard in 0..self.workers.len() {
-            self.ship_shard(&mut state, shard);
-        }
-        state.advance(n);
+        self.skip_positions(n);
     }
 
     fn space_bytes(&self) -> usize {
-        self.ship_all();
-        self.workers
-            .iter()
-            .map(|w| w.call(|alg| alg.space_bytes()))
-            .sum()
-    }
-
-    fn is_interval(&self) -> bool {
-        self.interval
-    }
-
-    fn reset_interval(&mut self) {
-        self.ship_all();
-        for worker in &self.workers {
-            worker.send(Box::new(|alg| alg.reset_interval()));
-        }
+        self.total_space_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PublishPolicy;
+    use memento_core::HhhQuery;
     use memento_hierarchy::{Prefix1D, SrcHierarchy};
 
     fn addr(a: u8, b: u8, c: u8, d: u8) -> u32 {
@@ -540,7 +280,7 @@ mod tests {
     #[should_panic(expected = "global-position window")]
     fn interval_algorithms_are_refused() {
         use memento_baselines::Mst;
-        let _ = ShardedHhh::<SrcHierarchy>::new("sharded-mst", 2, None, |_| {
+        let _ = ShardedHhh::<SrcHierarchy>::new("sharded-mst", 2, |_| {
             Box::new(Mst::new(SrcHierarchy, 64))
         });
     }

@@ -1,10 +1,13 @@
 //! # memento-shard
 //!
-//! Multi-core sharding engine for the Memento reproduction: scales any
+//! Multi-core sharding engine for the Memento reproduction: one [`Engine`]
+//! scales any
 //! [`SlidingWindowEstimator`](memento_core::traits::SlidingWindowEstimator)
-//! or [`HhhAlgorithm`](memento_core::traits::HhhAlgorithm) across worker
-//! threads while answering the *same* window queries through the *same*
-//! object-safe traits.
+//! ([`ShardedEstimator`]) or
+//! [`HhhAlgorithm`](memento_core::traits::HhhAlgorithm) ([`ShardedHhh`])
+//! across worker threads while answering the *same* window queries through
+//! the *same* object-safe traits. The engine is written once; the small
+//! [`Shard`] trait names what the two kinds of algorithm do differently.
 //!
 //! The paper's headline result is line-rate single-core processing (§5); the
 //! system this reproduction grows toward also has to scale *out* when one
@@ -43,7 +46,7 @@
 //! ## The query plane (PR 7, incremental since PR 8)
 //!
 //! Queries no longer piggyback on the per-shard update FIFOs. Instead the
-//! engines run a **snapshot publication pipeline** ([`PublishPolicy`]):
+//! engine runs a **snapshot publication pipeline** ([`PublishPolicy`]):
 //! workers periodically freeze per-shard summaries — estimator shards
 //! freeze *incrementally* ([`memento_core::WindowPatch`] covering only the
 //! slots dirtied since the previous epoch, folded onto persistent
@@ -54,14 +57,15 @@
 //! assembled into an [`EngineSnapshot`] (or [`HhhEngineSnapshot`]) under
 //! the global-position-window contract, then swapped into an epoch-tagged
 //! double buffer. The
-//! engines' own [`WindowQuery`](memento_core::WindowQuery) /
+//! engine's own [`WindowQuery`](memento_core::WindowQuery) /
 //! [`HhhQuery`](memento_core::HhhQuery) methods answer from the latest
 //! snapshot (forcing a publication first under the default
 //! `on_query = true`, which reproduces the historical flush-then-read
-//! answers bit-for-bit), and cheaply-clonable wait-free reader handles
+//! answers bit-for-bit), and cheaply-clonable [`Reader`] handles
 //! ([`SnapshotReader`] / [`HhhSnapshotReader`]) answer from it at memory
-//! speed on any thread — stale by at most one publication interval, never
-//! blocking on (or blocked by) ingest.
+//! speed on any thread, stale by at most one publication interval. A read
+//! never touches a worker FIFO or the router lock; it contends only with
+//! one publication's pointer store.
 //!
 //! ## Example
 //!
@@ -72,7 +76,7 @@
 //!
 //! // A window of 40_000 packets split over 4 worker threads.
 //! let mut sharded: ShardedEstimator<u64> = ShardedEstimator::memento(4, 256, 40_000, 1.0, 7);
-//! // A wait-free query handle, usable from any thread.
+//! // A snapshot query handle, usable from any thread.
 //! let reader = sharded.reader();
 //! let keys: Vec<u64> = (0..20_000u64).map(|i| i % 500).collect();
 //! sharded.update_batch(&keys);
@@ -85,17 +89,17 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod engine;
 mod estimator;
 mod hhh;
 mod router;
 mod snapshot;
 mod worker;
 
-pub use estimator::{BoxedEstimator, ShardedEstimator};
-pub use hhh::{BoxedHhh, ShardedHhh};
-pub use snapshot::{
-    EngineSnapshot, HhhEngineSnapshot, HhhSnapshotReader, PublishPolicy, SnapshotReader,
-};
+pub use engine::{Assembler, Engine, Reader, Shard};
+pub use estimator::{BoxedEstimator, ShardedEstimator, SnapshotReader};
+pub use hhh::{BoxedHhh, HhhSnapshotReader, ShardedHhh};
+pub use snapshot::{EngineSnapshot, HhhEngineSnapshot, PublishPolicy};
 
 /// Default number of keys buffered per shard before a batch is shipped to
 /// the worker. Large enough to amortize the channel send and let the

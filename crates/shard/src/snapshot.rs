@@ -1,6 +1,6 @@
-//! The wait-free snapshot query plane.
+//! The snapshot query plane.
 //!
-//! The sharded engines used to answer every query by piggybacking the
+//! The sharded engine used to answer every query by piggybacking the
 //! per-shard update FIFO: correct, but each read round-trips through a
 //! worker thread and stalls behind whatever batches are in flight. This
 //! module is the publication subsystem that replaces that path:
@@ -9,9 +9,9 @@
 //!    `publish_now`), the engine ships all shard buffers — synchronizing
 //!    every shard to the current global stream position — and enqueues one
 //!    *freeze job* per worker FIFO;
-//! 2. each worker freezes its shard — for estimator engines an incremental
+//! 2. each worker freezes its shard — an estimator shard an incremental
 //!    [`WindowPatch`](memento_core::WindowPatch) covering only the slots
-//!    dirtied since its previous freeze (PR 8), for HHH engines a full
+//!    dirtied since its previous freeze, an HHH shard a full
 //!    [`FrozenHhh`](memento_core::query::FrozenHhh) — and delivers it to the
 //!    engine's [`SnapshotHub`];
 //! 3. when the hub holds all `N` parts of an epoch it assembles the merged
@@ -22,16 +22,17 @@
 //!    shard, applies each epoch's patches onto it and snapshots the result
 //!    with O(1) structural-sharing clones — publication costs
 //!    O(dirty slots), not O(shards × summary size);
-//! 4. any number of [`SnapshotReader`] / [`HhhSnapshotReader`] handles —
-//!    cheaply clonable, `Send + Sync` — answer `estimate` /
-//!    `heavy_hitters` / `output` / `processed` from the latest snapshot at
-//!    memory speed, never touching a channel or blocking ingest.
+//! 4. any number of [`Reader`](crate::Reader) handles — cheaply clonable,
+//!    `Send + Sync` — answer `estimate` / `heavy_hitters` / `output` /
+//!    `processed` from the latest snapshot at memory speed. A read never
+//!    touches a worker FIFO or the router lock; it contends only with one
+//!    publication's pointer store into the double buffer.
 //!
 //! **Staleness bound.** A reader's answer reflects the stream as of the
 //! latest published epoch, which the ingest path refreshes at least every
 //! `every_batches` shipped batches: readers lag ingest by at most one
 //! publication interval (plus whatever is still buffered in the router,
-//! at most one ship threshold per shard). The engines' own trait queries
+//! at most one ship threshold per shard). The engine's own trait queries
 //! publish first by default ([`PublishPolicy::on_query`]), which restores
 //! the old flush-then-read semantics exactly.
 //!
@@ -48,11 +49,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use memento_core::query::{FrozenHhh, HhhQuery, WindowQuery};
-use memento_core::{DeltaWindow, WindowPatch};
+use memento_core::DeltaWindow;
 use memento_hierarchy::Hierarchy;
 use memento_sketches::fasthash;
 
-/// When the sharded engines publish query snapshots.
+/// When the sharded engine publishes query snapshots.
 ///
 /// Replaces the old ad-hoc `flush()` + `set_flush_threshold()` pair: the
 /// publication cadence is the one knob that matters for the query plane,
@@ -69,9 +70,11 @@ pub struct PublishPolicy {
     /// When `true` (the default), the engine's *own* query methods
     /// (`estimate`, `heavy_hitters`, `output`, `processed`) force a
     /// publication before reading, reproducing the historical
-    /// flush-then-read semantics bit-for-bit. Set to `false` for wait-free
-    /// engine-side reads with the same bounded staleness as
-    /// [`SnapshotReader`] handles.
+    /// flush-then-read semantics bit-for-bit. Set to `false` for
+    /// engine-side reads that, like [`Reader`](crate::Reader) handles,
+    /// answer from the latest published snapshot, stale by at most one
+    /// publication interval (only a read before the first publication
+    /// publishes).
     pub on_query: bool,
 }
 
@@ -287,13 +290,6 @@ impl<P, S> SnapshotHub<P, S> {
     }
 }
 
-/// Hub specialization used by [`crate::ShardedEstimator`]: workers deliver
-/// **incremental patches**, the stateful assembler folds them onto
-/// persistent per-shard [`DeltaWindow`]s (PR 8).
-pub(crate) type EstimatorHub<K> = SnapshotHub<WindowPatch<K>, EngineSnapshot<K>>;
-/// Hub specialization used by [`crate::ShardedHhh`].
-pub(crate) type HhhHub<Hi> = SnapshotHub<FrozenHhh<Hi>, HhhEngineSnapshot<Hi>>;
-
 /// An immutable merged view of a [`crate::ShardedEstimator`] at one
 /// publication epoch: one delta-maintained [`DeltaWindow`] per shard, all
 /// anchored at the same global stream position.
@@ -393,82 +389,6 @@ impl<K: Eq + Hash + Clone> WindowQuery<K> for EngineSnapshot<K> {
     }
 }
 
-/// A cheaply clonable, `Send + Sync` handle answering window queries from a
-/// [`crate::ShardedEstimator`]'s latest published snapshot.
-///
-/// Reads are wait-free with respect to ingest: a query loads the epoch
-/// double buffer (two atomics and an uncontended mutex-protected pointer
-/// clone) and answers from the immutable merged summary — it never touches
-/// a worker FIFO and never blocks an update. Answers are stale by at most
-/// one publication interval ([`PublishPolicy::every_batches`]). Before the
-/// first publication the reader reports the empty window (`processed` = 0,
-/// no heavy hitters).
-pub struct SnapshotReader<K> {
-    hub: Arc<EstimatorHub<K>>,
-    name: &'static str,
-    error_bound: f64,
-}
-
-impl<K> Clone for SnapshotReader<K> {
-    fn clone(&self) -> Self {
-        SnapshotReader {
-            hub: Arc::clone(&self.hub),
-            name: self.name,
-            error_bound: self.error_bound,
-        }
-    }
-}
-
-impl<K> std::fmt::Debug for SnapshotReader<K> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotReader")
-            .field("name", &self.name)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<K: Eq + Hash + Clone> SnapshotReader<K> {
-    pub(crate) fn new(hub: Arc<EstimatorHub<K>>, name: &'static str, error_bound: f64) -> Self {
-        SnapshotReader {
-            hub,
-            name,
-            error_bound,
-        }
-    }
-
-    /// The latest published snapshot, or `None` before the first
-    /// publication. Grabbing the `Arc` pins one epoch: every query against
-    /// it is internally consistent, which is what the torn-read stress
-    /// tests assert.
-    pub fn latest(&self) -> Option<Arc<EngineSnapshot<K>>> {
-        self.hub.latest()
-    }
-}
-
-impl<K: Eq + Hash + Clone> WindowQuery<K> for SnapshotReader<K> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn estimate(&self, key: &K) -> f64 {
-        self.latest().map(|s| s.estimate(key)).unwrap_or(0.0)
-    }
-
-    fn heavy_hitters(&self, threshold: f64) -> Vec<(K, f64)> {
-        self.latest()
-            .map(|s| s.heavy_hitters(threshold))
-            .unwrap_or_default()
-    }
-
-    fn processed(&self) -> u64 {
-        self.latest().map(|s| s.processed()).unwrap_or(0)
-    }
-
-    fn error_bound(&self) -> f64 {
-        self.error_bound
-    }
-}
-
 /// An immutable merged view of a [`crate::ShardedHhh`] at one publication
 /// epoch: one [`FrozenHhh`] per shard, all anchored at the same global
 /// stream position.
@@ -479,26 +399,31 @@ impl<K: Eq + Hash + Clone> WindowQuery<K> for SnapshotReader<K> {
 /// `output` collects candidates at the per-shard `θ/N` threshold,
 /// re-validates the union against the global `θ·W` bar with the summed
 /// estimates and returns them in canonical prefix order.
+///
+/// The per-shard parts sit behind one `Arc`, so re-stamping an unchanged
+/// engine's snapshot copies no summary.
 #[derive(Debug, Clone)]
 pub struct HhhEngineSnapshot<Hi: Hierarchy> {
     epoch: u64,
     name: &'static str,
-    window_total: Option<usize>,
-    shards: Vec<FrozenHhh<Hi>>,
+    shards: Arc<[FrozenHhh<Hi>]>,
 }
 
 impl<Hi: Hierarchy> HhhEngineSnapshot<Hi> {
-    pub(crate) fn assemble(
-        epoch: u64,
-        name: &'static str,
-        window_total: Option<usize>,
-        shards: Vec<FrozenHhh<Hi>>,
-    ) -> Self {
+    pub(crate) fn assemble(epoch: u64, name: &'static str, shards: Vec<FrozenHhh<Hi>>) -> Self {
         HhhEngineSnapshot {
             epoch,
             name,
-            window_total,
-            shards,
+            shards: shards.into(),
+        }
+    }
+
+    /// The same merged view re-stamped as a newer epoch (see
+    /// [`EngineSnapshot`]'s twin).
+    pub(crate) fn restamped(&self, epoch: u64) -> Self {
+        HhhEngineSnapshot {
+            epoch,
+            ..self.clone()
         }
     }
 
@@ -528,91 +453,28 @@ impl<Hi: Hierarchy> HhhQuery<Hi> for HhhEngineSnapshot<Hi> {
     /// candidates at `θ/N`, summed-estimate re-validation against `θ·W`,
     /// canonical prefix order.
     fn output(&self, theta: f64) -> Vec<Hi::Prefix> {
-        let per_shard_theta = if self.window_total.is_some() {
-            theta / self.shards.len() as f64
-        } else {
-            theta
-        };
+        let per_shard_theta = theta / self.shards.len() as f64;
         let mut seen: HashSet<Hi::Prefix> = HashSet::new();
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             seen.extend(shard.output(per_shard_theta));
         }
         let mut merged: Vec<Hi::Prefix> = seen.into_iter().collect();
-        if let Some(window) = self.window_total {
-            let floor = theta * window as f64;
-            let mut totals = vec![0.0f64; merged.len()];
-            for shard in &self.shards {
-                for (total, prefix) in totals.iter_mut().zip(&merged) {
-                    *total += shard.estimate(prefix);
-                }
+        // Every shard is configured with the full global window W.
+        let floor = theta * self.shards[0].window() as f64;
+        let mut totals = vec![0.0f64; merged.len()];
+        for shard in self.shards.iter() {
+            for (total, prefix) in totals.iter_mut().zip(&merged) {
+                *total += shard.estimate(prefix);
             }
-            let mut keep = totals.iter().map(|t| *t >= floor);
-            merged.retain(|_| keep.next().unwrap_or(false));
         }
+        let mut keep = totals.iter().map(|t| *t >= floor);
+        merged.retain(|_| keep.next().unwrap_or(false));
         merged.sort_unstable();
         merged
     }
 
     fn processed(&self) -> u64 {
         self.shards.iter().map(|s| s.processed()).max().unwrap_or(0)
-    }
-}
-
-/// A cheaply clonable, `Send + Sync` handle answering HHH queries from a
-/// [`crate::ShardedHhh`]'s latest published snapshot — the hierarchical
-/// counterpart of [`SnapshotReader`], with the same wait-free guarantees
-/// and the same ≤-one-publication-interval staleness bound. Before the
-/// first publication it reports the empty measurement (`processed` = 0, no
-/// heavy hitters, zero estimates).
-pub struct HhhSnapshotReader<Hi: Hierarchy> {
-    hub: Arc<HhhHub<Hi>>,
-    name: &'static str,
-}
-
-impl<Hi: Hierarchy> Clone for HhhSnapshotReader<Hi> {
-    fn clone(&self) -> Self {
-        HhhSnapshotReader {
-            hub: Arc::clone(&self.hub),
-            name: self.name,
-        }
-    }
-}
-
-impl<Hi: Hierarchy> std::fmt::Debug for HhhSnapshotReader<Hi> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HhhSnapshotReader")
-            .field("name", &self.name)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<Hi: Hierarchy> HhhSnapshotReader<Hi> {
-    pub(crate) fn new(hub: Arc<HhhHub<Hi>>, name: &'static str) -> Self {
-        HhhSnapshotReader { hub, name }
-    }
-
-    /// The latest published snapshot, or `None` before the first
-    /// publication.
-    pub fn latest(&self) -> Option<Arc<HhhEngineSnapshot<Hi>>> {
-        self.hub.latest()
-    }
-}
-
-impl<Hi: Hierarchy> HhhQuery<Hi> for HhhSnapshotReader<Hi> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn estimate(&self, prefix: &Hi::Prefix) -> f64 {
-        self.latest().map(|s| s.estimate(prefix)).unwrap_or(0.0)
-    }
-
-    fn output(&self, theta: f64) -> Vec<Hi::Prefix> {
-        self.latest().map(|s| s.output(theta)).unwrap_or_default()
-    }
-
-    fn processed(&self) -> u64 {
-        self.latest().map(|s| s.processed()).unwrap_or(0)
     }
 }
 

@@ -397,7 +397,7 @@ proptest! {
                 }
                 let context = format!("{name}@{shards}");
                 assert_estimates_equal(&engine, &wrapped, &context);
-                let clock = &engine.grain_clocks().expect("clock configured")[0];
+                let clock = engine.grain_clock().expect("clock configured");
                 prop_assert_eq!(clock.last_tick(), wrapped.clock().last_tick());
                 prop_assert_eq!(clock.clamped(), wrapped.clock().clamped());
             }

@@ -632,7 +632,15 @@ impl<K: Eq + Hash + Clone> Memento<K> {
     /// Does not touch the geometric-skip state of
     /// [`Self::update_batch`]: skipped packets are recorded by their owners
     /// and are not candidates for this instance's τ-sampling.
+    ///
+    /// # Panics
+    /// Panics if the stream position would pass `u64::MAX`
+    /// (`processed() + n` overflows), before any state changes.
     pub fn skip(&mut self, mut n: u64) {
+        assert!(
+            self.processed.checked_add(n).is_some(),
+            "skip: the stream position overflows u64"
+        );
         // `advance_window` takes usize; chunk for 32-bit targets (and leave
         // headroom so `m + n` cannot overflow the position arithmetic).
         while n > 0 {
@@ -656,10 +664,17 @@ impl<K: Eq + Hash + Clone> Memento<K> {
         }
     }
 
-    /// Advances the window by `n` packets at once, in closed form: *exactly*
-    /// equivalent to `n` [`Self::window_update`] calls, but sublinear in `n`.
+    /// Advances the window by `n` packets at once: *exactly* equivalent to
+    /// `n` [`Self::window_update`] calls, but sublinear in `n`.
     ///
-    /// The equivalence argument, piece by piece:
+    /// An advance that ends inside the current block and frame — `n`
+    /// below both `block_size − m_in_block` and `W − m`, the common case
+    /// between two sampled keys at τ < 1 — crosses no boundary: it costs
+    /// three additions plus the walk's one pop per packet, the closed
+    /// form's answer for zero rotations without its divides. Every
+    /// other advance crosses at least one block boundary (a frame wrap is
+    /// one too) and takes the closed form, whose equivalence argument,
+    /// piece by piece, is:
     ///
     /// * **Frame flushes** — a per-packet walk calls [`SpaceSaving::flush`]
     ///   at every frame boundary it crosses; with no insertions in between,
@@ -682,13 +697,15 @@ impl<K: Eq + Hash + Clone> Memento<K> {
     ///   are visible in the end state (earlier pops hit queues that rotate
     ///   out anyway). The per-packet walk grants one pop to the packet that
     ///   crossed the last boundary plus one per remaining packet, i.e.
-    ///   `m_final % block_size + 1` pops; with no rotation crossed the
-    ///   budget is all `n` packets.
+    ///   `m_final % block_size + 1` pops.
     fn advance_window(&mut self, n: usize) {
-        if n == 0 {
+        self.processed += n as u64;
+        if n < self.block_size - self.m_in_block && n < self.window - self.m {
+            self.m += n;
+            self.m_in_block += n;
+            self.drain_expired(n);
             return;
         }
-        self.processed += n as u64;
         let rotations = self.rotations_within(n);
         let crossed_frame = n >= self.window - self.m;
         self.m = (((self.m as u128) + (n as u128)) % (self.window as u128)) as usize;
@@ -697,10 +714,6 @@ impl<K: Eq + Hash + Clone> Memento<K> {
         self.m_in_block = self.m % self.block_size;
         if crossed_frame {
             self.y.flush();
-        }
-        if rotations == 0 {
-            self.drain_expired(n);
-            return;
         }
         if rotations >= self.b.queue_count() as u64 {
             // Every block rotated out of the window: all queued identifiers
@@ -719,7 +732,7 @@ impl<K: Eq + Hash + Clone> Memento<K> {
                 }
             }
         });
-        self.drain_expired(self.m % self.block_size + 1);
+        self.drain_expired(self.m_in_block + 1);
     }
 
     /// Number of block rotations a per-packet walk would perform while
@@ -1481,6 +1494,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `skip` reaches the last positions of `u64` exactly, through the
+    /// chunked closed form, and forgets everything on the way.
+    #[test]
+    fn skip_to_near_u64_max_lands_exactly() {
+        let mut memento = Memento::<u64>::new(8, 100, 1.0, 1);
+        memento.skip(u64::MAX - 1);
+        assert_eq!(memento.processed(), u64::MAX - 1);
+        for key in 0..20u64 {
+            assert_eq!(
+                memento.estimate(&key).to_bits(),
+                memento.untracked_estimate().to_bits()
+            );
+        }
+        memento.update(3);
+        assert_eq!(memento.processed(), u64::MAX);
+        assert!(memento.estimate(&3) > memento.untracked_estimate());
+    }
+
+    /// A skip past `u64::MAX` panics, naming the overflow, instead of
+    /// wrapping the stream position.
+    #[test]
+    #[should_panic(expected = "stream position overflows u64")]
+    fn skip_past_u64_max_panics() {
+        let mut memento = Memento::<u64>::new(8, 100, 1.0, 1);
+        memento.skip(u64::MAX);
+        memento.skip(1);
     }
 
     #[test]

@@ -789,11 +789,16 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
         self.probe(key).ok()
     }
 
+    /// Value in `slot`, an occupied slot a probe returned as `Ok`.
+    #[inline]
+    pub(crate) fn value_at(&self, slot: usize) -> &V {
+        &self.entries[slot].as_ref().expect("occupied slot").1
+    }
+
     /// Reference to the value stored for `key`.
     #[inline]
     pub fn get(&self, key: &K) -> Option<&V> {
-        self.find(key)
-            .map(|i| &self.entries[i].as_ref().expect("occupied slot").1)
+        self.find(key).map(|i| self.value_at(i))
     }
 
     /// [`Self::get`] with the caller supplying `hash_one(key)` (see
@@ -801,9 +806,7 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
     /// prefetch time and reuse the value for the probe.
     #[inline]
     pub fn get_hashed(&self, hash: u64, key: &K) -> Option<&V> {
-        self.probe_hashed(hash, key)
-            .ok()
-            .map(|i| &self.entries[i].as_ref().expect("occupied slot").1)
+        self.probe_hashed(hash, key).ok().map(|i| self.value_at(i))
     }
 
     /// Mutable reference to the value stored for `key`.
@@ -848,18 +851,35 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
         self.journal_mark(slot);
     }
 
-    /// Installs `key → value` in the first empty slot of its probe
-    /// sequence and returns that slot — the re-walking form used when no
-    /// prior probe result is valid (after [`Self::grow`] remapped every
-    /// slot). Callers guarantee `key` is absent; `len` is not touched
-    /// (grow re-installs existing entries).
+    /// Inserts an absent `key → value` at `miss`, the `Err` a probe of
+    /// `key` returned with no write to the map since — its terminating
+    /// empty slot, so miss-then-insert walks the probe sequence once — and
+    /// returns the slot taken. At the 7/8 load cap the table grows first
+    /// and the key takes its first empty slot in the new table instead.
     #[inline]
-    fn install(&mut self, key: K, value: V) -> usize {
-        let (home, fp) = self.decompose(hash_one(&key));
-        let i = self.first_empty_from(home);
-        self.entries[i] = Some((key, value));
-        self.ctrl[i] = fp;
-        i
+    pub(crate) fn insert_at_miss(&mut self, (slot, fp): (usize, u8), key: K, value: V) -> usize {
+        if self.len + 1 > self.max_load() {
+            return self.insert_absent_hashed(hash_one(&key), key, value);
+        }
+        self.occupy(slot, fp, key, value);
+        slot
+    }
+
+    /// Inserts an absent `key → value`, where `hash` is `hash_one(&key)`,
+    /// at the first empty slot of its probe sequence — one empty-lane
+    /// scan, no key compare — growing first at the 7/8 load cap, and
+    /// returns the slot taken. For callers whose last probe of `key` is
+    /// stale: a removal since then may have emptied a slot earlier on
+    /// `key`'s path than that probe's miss, and the key must go there to
+    /// stay reachable.
+    pub(crate) fn insert_absent_hashed(&mut self, hash: u64, key: K, value: V) -> usize {
+        if self.len + 1 > self.max_load() {
+            self.grow();
+        }
+        let (home, fp) = self.decompose(hash);
+        let slot = self.first_empty_from(home);
+        self.occupy(slot, fp, key, value);
+        slot
     }
 
     /// Inserts `key → value`; returns the previous value if the key was
@@ -874,14 +894,8 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
                 self.journal_mark(i);
                 Some(previous)
             }
-            Err((slot, fp)) => {
-                if self.len + 1 > self.max_load() {
-                    self.grow();
-                    self.install(key, value);
-                    self.len += 1;
-                } else {
-                    self.occupy(slot, fp, key, value);
-                }
+            Err(miss) => {
+                self.insert_at_miss(miss, key, value);
                 None
             }
         }
@@ -899,19 +913,11 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
                 self.journal_mark(i);
                 i
             }
-            Err((slot, fp)) => {
-                if self.len + 1 > self.max_load() {
-                    // Evaluate the default before growing: an unwinding
-                    // default must leave even the allocation untouched.
-                    let value = default();
-                    self.grow();
-                    let slot = self.install(key, value);
-                    self.len += 1;
-                    slot
-                } else {
-                    self.occupy(slot, fp, key, default());
-                    slot
-                }
+            Err(miss) => {
+                // Evaluate the default before any write: an unwinding
+                // default must leave even the allocation untouched.
+                let value = default();
+                self.insert_at_miss(miss, key, value)
             }
         };
         &mut self.entries[i].as_mut().expect("occupied slot").1
@@ -1000,8 +1006,13 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
         self.entries = Vec::new();
         self.entries.resize_with(slots, || None);
         self.mask = slots - 1;
+        // Re-place every entry at the first empty slot of its probe
+        // sequence; `len` and the (invalidated) journal stay as they are.
         for (key, value) in old_entries.into_iter().flatten() {
-            self.install(key, value);
+            let (home, fp) = self.decompose(hash_one(&key));
+            let i = self.first_empty_from(home);
+            self.entries[i] = Some((key, value));
+            self.ctrl[i] = fp;
         }
     }
 }

@@ -12,14 +12,15 @@
 //! * per frame inside [Memento / WCSS](https://arxiv.org/abs/1810.02899)
 //!   (`y` in Algorithm 1, flushed at frame boundaries),
 //! * per prefix level in the MST and RHHH baselines,
-//! * as the mergeable summary behind the network-wide Aggregation baseline.
+//! * on its own, as the interval (landmark-window) baseline the estimator
+//!   traits of `memento-core` also drive.
 
 use std::hash::Hash;
 
 use crate::fasthash::PREFETCH_LOOKAHEAD;
 use crate::stream_summary::StreamSummary;
 
-/// A snapshot of one Space Saving counter, used for merging, reporting and
+/// A snapshot of one Space Saving counter, used for reporting and
 /// heavy-hitter extraction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterSnapshot<K> {
@@ -79,10 +80,9 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
         self.summary.len()
     }
 
-    /// Processes one occurrence of `key` and returns its new estimate.
-    /// One index probe on the monitored-key path (the common case for the
-    /// heavy flows this structure exists to count): `increment`'s `None`
-    /// doubles as the absence check, so no separate `contains` probe.
+    /// Processes one occurrence of `key` and returns its new estimate:
+    /// one [`StreamSummary::offer`] step, which probes the key index once
+    /// whether the key is monitored, takes a free counter or evicts.
     pub fn add(&mut self, key: K) -> u64 {
         self.add_hashed(key, None)
     }
@@ -90,23 +90,12 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
     /// [`Self::add`] with an optionally precomputed
     /// [`crate::fasthash::hash_one`] value for `key`: the batched
     /// pipelines hash each key once when issuing its prefetch and hand
-    /// the value down here, so the monitored-key increment (the common
-    /// case) does not hash again. The insertion paths re-hash — they do
-    /// structural slot surgery anyway.
+    /// the value down here, so no branch of the step hashes `key` again.
     #[inline]
     pub fn add_hashed(&mut self, key: K, hash: Option<u64>) -> u64 {
         self.processed += 1;
-        let incremented = match hash {
-            Some(h) => self.summary.increment_hashed(&key, h),
-            None => self.summary.increment(&key),
-        };
-        if let Some(count) = incremented {
-            count
-        } else if !self.summary.is_full() {
-            self.summary.insert_new(key).expect("summary not full")
-        } else {
-            self.summary.replace_min(key).0
-        }
+        let hash = hash.unwrap_or_else(|| crate::fasthash::hash_one(&key));
+        self.summary.offer_hashed(key, hash).0
     }
 
     /// Processes a batch of occurrences with the prefetch pipeline: each
@@ -248,16 +237,17 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
         out
     }
 
-    /// Approximate heap footprint in bytes: one slot per counter (key,
-    /// count, error, bucket link) plus the index. Used by the workspace's
+    /// Footprint in bytes by the paper's per-counter accounting: each of
+    /// the `k` counters costs its key plus four 64-bit words (count, error
+    /// term and bucket-list links), plus this struct once. The key index
+    /// and the bucket nodes are not counted. Used by the workspace's
     /// `space_bytes` accounting to compare algorithm memory at equal error.
     pub fn space_bytes(&self) -> usize {
         self.summary.capacity() * (std::mem::size_of::<K>() + 4 * std::mem::size_of::<u64>())
             + std::mem::size_of::<Self>()
     }
 
-    /// Snapshot of every counter (used for merging and for the Aggregation
-    /// communication method).
+    /// Snapshot of every counter, in unspecified order.
     pub fn snapshot(&self) -> Vec<CounterSnapshot<K>> {
         self.summary
             .iter()
@@ -267,58 +257,6 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
                 error,
             })
             .collect()
-    }
-
-    /// Merges another instance's snapshot into a *combined* summary of the
-    /// given capacity (standard mergeability of counter-based summaries,
-    /// [Agarwal et al.]): counts of common keys add up; the result is then
-    /// truncated to the `capacity` largest counters, folding the dropped mass
-    /// into the error terms is not required for upper-bound queries.
-    pub fn merge_snapshots(
-        snapshots: &[Vec<CounterSnapshot<K>>],
-        capacity: usize,
-    ) -> SpaceSaving<K> {
-        use std::collections::HashMap;
-        let mut combined: HashMap<K, (u64, u64)> = HashMap::new();
-        for snap in snapshots {
-            for c in snap {
-                let entry = combined.entry(c.key.clone()).or_insert((0, 0));
-                entry.0 += c.count;
-                entry.1 += c.error;
-            }
-        }
-        let mut all: Vec<_> = combined.into_iter().collect();
-        all.sort_by_key(|&(_, (count, _))| std::cmp::Reverse(count));
-        all.truncate(capacity);
-        // Rebuild a SpaceSaving holding the merged counts. We bypass `add` by
-        // re-inserting each key `count` times worth of structure: since the
-        // stream summary only supports +1 increments we instead rebuild with
-        // direct increments (costly only at merge time, which is rare).
-        let mut out = SpaceSaving::new(capacity);
-        for (key, (count, _error)) in all {
-            // First touch allocates the slot, remaining increments raise it.
-            out.summary_insert_with_count(key, count);
-        }
-        out
-    }
-
-    /// Internal helper for merge: inserts `key` with an explicit count.
-    fn summary_insert_with_count(&mut self, key: K, count: u64) {
-        if count == 0 {
-            return;
-        }
-        if !self.summary.contains(&key) {
-            if self.summary.is_full() {
-                self.summary.replace_min(key.clone());
-            } else {
-                self.summary.insert_new(key.clone());
-            }
-        }
-        let current = self.summary.get(&key).unwrap_or(0);
-        for _ in current..count {
-            self.summary.increment(&key);
-        }
-        self.processed += count;
     }
 }
 
@@ -434,23 +372,5 @@ mod tests {
     #[should_panic(expected = "epsilon")]
     fn with_bad_epsilon_panics() {
         let _ = SpaceSaving::<u32>::with_epsilon(0.0);
-    }
-
-    #[test]
-    fn merge_combines_counts() {
-        let mut a = SpaceSaving::new(4);
-        let mut b = SpaceSaving::new(4);
-        for _ in 0..5 {
-            a.add("x");
-        }
-        for _ in 0..7 {
-            b.add("x");
-        }
-        for _ in 0..2 {
-            b.add("y");
-        }
-        let merged = SpaceSaving::merge_snapshots(&[a.snapshot(), b.snapshot()], 4);
-        assert_eq!(merged.query(&"x"), 12);
-        assert_eq!(merged.query(&"y"), 2);
     }
 }

@@ -15,12 +15,14 @@
 //! only on insertion, eviction and queries — live in a parallel `Vec`, so
 //! bucket-list surgery never drags key bytes through the cache. The key →
 //! slot index is a [`CompactMap`] probed with the workspace's fast hash
-//! ([`crate::fasthash`]) rather than a SipHash `HashMap`: one cache-resident
-//! fingerprint probe per operation.
+//! ([`crate::fasthash`]) rather than a SipHash `HashMap`, and one
+//! Space-Saving step ([`StreamSummary::offer`]) probes it once, whichever
+//! way the step goes.
 
 use std::hash::Hash;
 
 use crate::compact_map::CompactMap;
+use crate::fasthash::hash_one;
 
 /// Null sentinel for the intrusive index-based linked lists.
 const NIL: usize = usize::MAX;
@@ -64,7 +66,7 @@ struct SummaryJournal<K> {
     /// One bit per SoA slot: its count, key or error changed since the last
     /// drain.
     dirty: Vec<u64>,
-    /// Keys evicted by [`StreamSummary::replace_min`] since the last drain.
+    /// Keys evicted by [`StreamSummary::offer`] since the last drain.
     /// An evicted key may have been re-inserted afterwards; consumers must
     /// check the live summary.
     evicted: Vec<K>,
@@ -85,7 +87,7 @@ pub struct SummaryJournalDrain<K> {
     /// SoA slots whose count/key/error changed since the last drain,
     /// ascending. Read the live summary via [`StreamSummary::slot_entry`].
     pub dirty_slots: Vec<usize>,
-    /// Keys evicted by `replace_min` since the last drain (possibly
+    /// Keys evicted by [`StreamSummary::offer`] since the last drain (possibly
     /// re-inserted later; check the live summary before treating one as
     /// gone).
     pub evicted: Vec<K>,
@@ -94,9 +96,9 @@ pub struct SummaryJournalDrain<K> {
 /// An O(1) stream-summary: the union of counter slots, count-ordered buckets
 /// and a key index.
 ///
-/// This is deliberately a low-level structure; [`crate::SpaceSaving`] wraps it
-/// with the algorithmic policy (what to do when a new key arrives and all
-/// slots are taken).
+/// This is deliberately a low-level structure: [`Self::offer`] is the
+/// Space Saving step itself, and [`crate::SpaceSaving`] wraps it with the
+/// stream bookkeeping, queries and the batched prefetch pipeline.
 #[derive(Debug, Clone)]
 pub struct StreamSummary<K: Eq + Hash + Clone> {
     /// Hot slot fields (count/bucket/links), parallel to `cold`.
@@ -257,8 +259,8 @@ impl<K: Eq + Hash + Clone> StreamSummary<K> {
 
     /// Hints the CPU to pull the key-index lines a probe of `key` will
     /// touch ([`CompactMap::prefetch`]): the batched update pipelines call
-    /// this a small lookahead before [`Self::increment`]/insertion so the
-    /// index misses of a batch overlap. No observable effect.
+    /// this a small lookahead before [`Self::offer`] so the index misses
+    /// of a batch overlap. No observable effect.
     #[inline]
     pub fn prefetch(&self, key: &K) {
         self.index.prefetch(key);
@@ -266,80 +268,83 @@ impl<K: Eq + Hash + Clone> StreamSummary<K> {
 
     /// [`Self::prefetch`] with the caller supplying the key's
     /// [`crate::fasthash::hash_one`] value, so one hash serves both the
-    /// prefetch and the later [`Self::increment_hashed`] probe.
+    /// prefetch and the later [`Self::offer_hashed`] probe.
     #[inline]
     pub fn prefetch_hashed(&self, hash: u64) {
         self.index.prefetch_hashed(hash);
     }
 
-    /// Increments the counter of a monitored `key` by one and returns the new
-    /// count, or `None` when the key is not monitored. (One index probe: on
-    /// the hot path callers use the `None` to branch to insertion instead of
-    /// probing `contains` first.)
-    pub fn increment(&mut self, key: &K) -> Option<u64> {
-        let slot = *self.index.get(key)?;
-        Some(self.increment_slot(slot))
+    /// One Space-Saving step for `key`: [`Self::offer_hashed`], hashing
+    /// `key` first.
+    pub fn offer(&mut self, key: K) -> (u64, Option<K>) {
+        let hash = hash_one(&key);
+        self.offer_hashed(key, hash)
     }
 
-    /// [`Self::increment`] with the caller supplying `hash_one(key)` (see
-    /// [`CompactMap::get_hashed`]).
-    pub fn increment_hashed(&mut self, key: &K, hash: u64) -> Option<u64> {
-        let slot = *self.index.get_hashed(hash, key)?;
-        Some(self.increment_slot(slot))
-    }
-
-    /// Inserts a key that is *not currently monitored* into a free slot with
-    /// initial count 1 and error 0. Returns `None` when the summary is full
-    /// (use [`Self::replace_min`] in that case) or when the key is already
-    /// present.
-    pub fn insert_new(&mut self, key: K) -> Option<u64> {
-        if self.is_full() || self.index.contains_key(&key) {
-            return None;
-        }
-        let slot = self.hot.len();
-        self.hot.push(SlotHot {
-            count: 0,
-            bucket: NIL,
-            prev: NIL,
-            next: NIL,
-        });
-        self.cold.push(SlotCold {
-            key: Some(key.clone()),
-            error: 0,
-        });
-        self.index.insert(key, slot);
-        Some(self.increment_slot(slot))
-    }
-
-    /// Replaces the key of the minimum counter with `key`, charging the old
-    /// count as the new key's error term, then increments it. Returns the new
-    /// count together with the evicted key.
+    /// One Space-Saving step for `key`, where `hash` is its
+    /// [`crate::fasthash::hash_one`] value: increments the key's counter,
+    /// or gives an unmonitored key a free slot, or — on a full summary —
+    /// the slot of the minimum counter, charging that slot's count as the
+    /// new key's error term before the increment. Returns the key's new
+    /// count and, when the step evicted one, the key that lost its slot
+    /// (among tied minimum counters, the head of the min bucket).
     ///
-    /// # Panics
-    /// Panics when the summary is empty or when `key` is already monitored
-    /// (callers must check [`Self::contains`] first).
-    pub fn replace_min(&mut self, key: K) -> (u64, K) {
-        assert!(self.min_bucket != NIL, "replace_min on an empty summary");
+    /// Every step probes the key index once, and each branch pays only
+    /// for what it changes:
+    ///
+    /// * **hit** — the increment: bucket-list surgery on the hot array,
+    ///   or a count bumped in place when the counter is alone in its
+    ///   bucket and no bucket holds `count + 1` (see `increment_slot`);
+    /// * **free slot** — push the new hot and cold slot, then write the
+    ///   key into the probe's terminating empty slot: nothing touched the
+    ///   index since the probe, so that slot is still where a lookup of
+    ///   the key will stop;
+    /// * **eviction** — move the evicted key out of its cold slot (no
+    ///   clone), remove it from the index (one hash and probe of the
+    ///   evicted key), and install the new key by one first-empty scan
+    ///   from `hash`. The scan cannot reuse the first probe's miss slot:
+    ///   the removal's backward shift may have emptied a slot earlier on
+    ///   the new key's probe path, and a key placed past that empty slot
+    ///   is unreachable.
+    ///
+    /// Passing anything but `key`'s own `hash_one` value breaks the index.
+    pub fn offer_hashed(&mut self, key: K, hash: u64) -> (u64, Option<K>) {
+        let miss = match self.index.probe_hashed(hash, &key) {
+            Ok(i) => return (self.increment_slot(*self.index.value_at(i)), None),
+            Err(miss) => miss,
+        };
+        if !self.is_full() {
+            let slot = self.hot.len();
+            self.hot.push(SlotHot {
+                count: 0,
+                bucket: NIL,
+                prev: NIL,
+                next: NIL,
+            });
+            self.cold.push(SlotCold {
+                key: Some(key.clone()),
+                error: 0,
+            });
+            self.index.insert_at_miss(miss, key, slot);
+            return (self.increment_slot(slot), None);
+        }
         let slot = self.buckets[self.min_bucket].child;
-        debug_assert_ne!(slot, NIL);
-        let old_key = self.cold[slot]
+        let evicted = self.cold[slot]
             .key
-            .clone()
+            .take()
             .expect("occupied slot must hold a key");
-        assert!(
-            !self.index.contains_key(&key),
-            "replace_min with an already-monitored key"
-        );
-        self.index.remove(&old_key);
-        self.cold[slot].error = self.hot[slot].count;
-        self.cold[slot].key = Some(key.clone());
-        self.index.insert(key, slot);
+        self.index.remove(&evicted);
+        self.index.insert_absent_hashed(hash, key.clone(), slot);
+        self.cold[slot] = SlotCold {
+            key: Some(key),
+            error: self.hot[slot].count,
+        };
         if let Some(j) = self.journal.as_deref_mut() {
             if !j.cleared {
-                j.evicted.push(old_key.clone());
+                j.evicted.push(evicted.clone());
             }
         }
-        (self.increment_slot(slot), old_key)
+        (self.increment_slot(slot), Some(evicted))
     }
 
     /// Removes every monitored key, keeping the allocated capacity.
@@ -436,17 +441,23 @@ impl<K: Eq + Hash + Clone> StreamSummary<K> {
     }
 
     /// Moves `slot` from its current bucket to the bucket for `count + 1`,
-    /// creating the destination bucket if needed. O(1) because counts only
-    /// ever grow by one. Touches only the hot array and the bucket nodes —
-    /// never the keys.
+    /// creating the destination bucket if needed — or, when the slot is
+    /// alone in its bucket and no bucket holds `count + 1`, raises that
+    /// bucket's count in place. O(1) because counts only ever grow by one.
+    /// Touches only the hot array and the bucket nodes — never the keys.
     fn increment_slot(&mut self, slot: usize) -> u64 {
         let old_bucket = self.hot[slot].bucket;
         let new_count = self.hot[slot].count + 1;
         self.hot[slot].count = new_count;
+        // Every observable slot mutation funnels through here (both miss
+        // branches of `offer_hashed` end in an increment), so one mark
+        // covers count, key and error changes alike.
+        self.journal_mark(slot);
 
         // Locate the destination bucket: it is either the bucket right after
         // the current one (if its count matches) or a freshly created bucket
-        // inserted right after the current one.
+        // inserted right after the current one — unless the slot is alone
+        // in its bucket, which then just takes the new count.
         let dest = if old_bucket == NIL {
             // Fresh slot (count was 0): destination is the min bucket if it
             // already holds `new_count`, otherwise a new bucket at the front.
@@ -466,6 +477,14 @@ impl<K: Eq + Hash + Clone> StreamSummary<K> {
             let next = self.buckets[old_bucket].next;
             if next != NIL && self.buckets[next].count == new_count {
                 next
+            } else if self.buckets[old_bucket].child == slot && self.hot[slot].next == NIL {
+                // Alone, with no bucket at `new_count` to join: the move
+                // below would give the slot a fresh bucket at this very
+                // list position and free this one. Raising this bucket's
+                // count leaves the same counts, order and eviction heads
+                // (the next bucket, if any, holds more than `new_count`).
+                self.buckets[old_bucket].count = new_count;
+                return new_count;
             } else {
                 debug_assert!(next == NIL || self.buckets[next].count > new_count);
                 let b = self.alloc_bucket(new_count);
@@ -484,10 +503,6 @@ impl<K: Eq + Hash + Clone> StreamSummary<K> {
         if old_bucket != NIL && self.buckets[old_bucket].child == NIL {
             self.free_bucket(old_bucket);
         }
-        // Every observable slot mutation funnels through here (insert_new
-        // and replace_min both end in an increment), so one mark covers
-        // count, key and error changes alike.
-        self.journal_mark(slot);
         new_count
     }
 
@@ -540,9 +555,9 @@ mod tests {
     #[test]
     fn insert_and_increment() {
         let mut s = StreamSummary::new(4);
-        assert_eq!(s.insert_new("a"), Some(1));
-        assert_eq!(s.insert_new("b"), Some(1));
-        assert_eq!(s.increment(&"a"), Some(2));
+        assert_eq!(s.offer("a"), (1, None));
+        assert_eq!(s.offer("b"), (1, None));
+        assert_eq!(s.offer("a"), (2, None));
         assert_eq!(s.get(&"a"), Some(2));
         assert_eq!(s.get(&"b"), Some(1));
         assert_eq!(s.get(&"c"), None);
@@ -552,23 +567,28 @@ mod tests {
 
     #[test]
     fn insert_new_rejects_duplicates_and_full() {
+        // A monitored key never takes a second slot, and a full summary
+        // evicts instead of growing.
         let mut s = StreamSummary::new(2);
-        assert!(s.insert_new(1).is_some());
-        assert!(s.insert_new(1).is_none(), "duplicate must be rejected");
-        assert!(s.insert_new(2).is_some());
-        assert!(s.insert_new(3).is_none(), "full summary must reject");
+        assert_eq!(s.offer(1), (1, None));
+        assert_eq!(s.offer(1), (2, None), "a monitored key is incremented");
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.offer(2), (1, None));
         assert!(s.is_full());
+        assert_eq!(s.offer(3), (2, Some(2)), "a full summary evicts");
+        assert_eq!(s.len(), 2);
+        s.check_invariants();
     }
 
     #[test]
     fn replace_min_evicts_smallest() {
         let mut s = StreamSummary::new(2);
-        s.insert_new("a");
-        s.increment(&"a");
-        s.increment(&"a"); // a -> 3
-        s.insert_new("b"); // b -> 1
-        let (count, evicted) = s.replace_min("c");
-        assert_eq!(evicted, "b");
+        s.offer("a");
+        s.offer("a");
+        s.offer("a"); // a -> 3
+        s.offer("b"); // b -> 1
+        let (count, evicted) = s.offer("c");
+        assert_eq!(evicted, Some("b"));
         assert_eq!(count, 2); // inherits 1 and increments
         assert_eq!(s.get_with_error(&"c"), Some((2, 1)));
         assert!(!s.contains(&"b"));
@@ -579,27 +599,44 @@ mod tests {
     fn min_count_tracks_smallest_bucket() {
         let mut s = StreamSummary::new(3);
         assert_eq!(s.min_count(), 0);
-        s.insert_new(10);
-        s.insert_new(20);
-        s.insert_new(30);
+        s.offer(10);
+        s.offer(20);
+        s.offer(30);
         assert_eq!(s.min_count(), 1);
-        s.increment(&10);
-        s.increment(&20);
-        s.increment(&30);
+        s.offer(10);
+        s.offer(20);
+        s.offer(30);
         assert_eq!(s.min_count(), 2);
+        s.check_invariants();
+        // 10 leaves the shared bucket for a new one at 3, then — alone
+        // there with no bucket at 4 — is bumped in place to 4.
+        s.offer(10);
+        s.offer(10);
+        assert_eq!(s.get(&10), Some(4));
+        s.check_invariants();
+        // 20 moves to a new bucket at 3, alone but with the bucket at 4
+        // right after it: the next +1 must join that bucket, not bump.
+        s.offer(20);
+        s.offer(20);
+        assert_eq!(s.get(&20), Some(4));
+        assert_eq!(s.min_count(), 2);
+        s.check_invariants();
+        // The lone minimum counter bumps in place, and min_count follows.
+        s.offer(30);
+        assert_eq!(s.min_count(), 3);
         s.check_invariants();
     }
 
     #[test]
     fn clear_resets_everything() {
         let mut s = StreamSummary::new(3);
-        s.insert_new(1);
-        s.insert_new(2);
+        s.offer(1);
+        s.offer(2);
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.min_count(), 0);
         assert_eq!(s.get(&1), None);
-        assert!(s.insert_new(1).is_some());
+        assert_eq!(s.offer(1), (1, None));
         s.check_invariants();
     }
 
@@ -607,9 +644,9 @@ mod tests {
     fn iter_reports_all_entries() {
         let mut s = StreamSummary::new(4);
         for k in 0..4 {
-            s.insert_new(k);
+            s.offer(k);
         }
-        s.increment(&2);
+        s.offer(2);
         let mut entries: Vec<_> = s.iter().map(|(k, c, e)| (*k, c, e)).collect();
         entries.sort();
         assert_eq!(entries, vec![(0, 1, 0), (1, 1, 0), (2, 2, 0), (3, 1, 0)]);
@@ -627,26 +664,31 @@ mod tests {
         assert!(s.drain_journal().is_none(), "journal off by default");
         s.enable_journal();
         assert!(s.drain_journal().unwrap().cleared, "first drain rebuilds");
-        s.insert_new("a");
-        s.insert_new("b");
+        s.offer("a");
+        s.offer("b");
         let d = s.drain_journal().unwrap();
         assert!(!d.cleared);
         assert_eq!(d.dirty_slots, vec![0, 1]);
         assert!(d.evicted.is_empty());
         // Increment only "a": only its slot is dirty.
-        s.increment(&"a");
+        s.offer("a");
         let d = s.drain_journal().unwrap();
         assert_eq!(d.dirty_slots, vec![s.slot_of(&"a").unwrap()]);
-        // replace_min evicts "b" and re-marks the reused slot.
-        let (_, evicted) = s.replace_min("c");
-        assert_eq!(evicted, "b");
+        // An in-place bump ("a" alone at 2, nothing at 3) marks it too.
+        s.offer("a");
+        let d = s.drain_journal().unwrap();
+        assert_eq!(d.dirty_slots, vec![s.slot_of(&"a").unwrap()]);
+        // Offering "c" to the full summary evicts "b" and re-marks the
+        // reused slot.
+        let (_, evicted) = s.offer("c");
+        assert_eq!(evicted, Some("b"));
         let d = s.drain_journal().unwrap();
         assert_eq!(d.evicted, vec!["b"]);
         assert_eq!(d.dirty_slots, vec![s.slot_of(&"c").unwrap()]);
         assert_eq!(s.slot_entry(s.slot_of(&"c").unwrap()).unwrap().0, &"c");
         // clear() suspends per-slot tracking until the rebuild drain.
         s.clear();
-        s.insert_new("d");
+        s.offer("d");
         let d = s.drain_journal().unwrap();
         assert!(d.cleared && d.dirty_slots.is_empty() && d.evicted.is_empty());
     }
@@ -658,13 +700,10 @@ mod tests {
         let mut s = StreamSummary::new(16);
         for _ in 0..5_000 {
             let key = rng.gen_range(0u32..64);
-            if s.contains(&key) {
-                s.increment(&key);
-            } else if !s.is_full() {
-                s.insert_new(key);
-            } else {
-                s.replace_min(key);
-            }
+            let monitored = s.contains(&key);
+            let (count, evicted) = s.offer(key);
+            assert_eq!(s.get(&key), Some(count));
+            assert!(evicted.is_none() || !monitored, "a hit never evicts");
         }
         s.check_invariants();
         assert_eq!(s.len(), 16);

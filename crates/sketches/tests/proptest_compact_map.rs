@@ -14,11 +14,11 @@
 //!   churn, and on tables filled to the full 7/8 load cap: all scans
 //!   must return the *identical* `Ok(slot)` / `Err((empty, fp))` for
 //!   every key, present or absent.
-//! * [`StreamSummary`] (CompactMap index + hot/cold SoA slots) vs a
-//!   test-local copy of the seed-era implementation (AoS slots,
-//!   `HashMap` index): same operation sequences must produce identical
-//!   counts, error terms, evicted keys and minimum counters — the
-//!   refactor is memory layout only.
+//! * [`StreamSummary`] (CompactMap index + hot/cold SoA slots, one-probe
+//!   `offer`, in-place bucket bumps) vs a test-local copy of the seed-era
+//!   implementation (AoS slots, `HashMap` index, separate increment /
+//!   insert / replace-min steps): same operation sequences must produce
+//!   identical counts, error terms, evicted keys and minimum counters.
 
 use std::collections::HashMap;
 
@@ -194,8 +194,8 @@ proptest! {
         run_map_ops(&ops);
     }
 
-    /// The new StreamSummary is the old StreamSummary with a different
-    /// memory layout: identical observable behaviour on any op sequence.
+    /// The new StreamSummary behaves exactly as the old one on any op
+    /// sequence: layout, probe count and bucket reuse are invisible.
     #[test]
     fn stream_summary_matches_seed_implementation(
         ops in prop::collection::vec((0u8..4, 0u8..32), 1..500),
@@ -207,16 +207,9 @@ proptest! {
             let key = key as u32;
             match op {
                 0 => {
-                    // The Space Saving policy step, as SpaceSaving::add
-                    // drives it.
-                    let got = if let Some(count) = new.increment(&key) {
-                        (count, None)
-                    } else if !new.is_full() {
-                        (new.insert_new(key).expect("not full"), None)
-                    } else {
-                        let (count, evicted) = new.replace_min(key);
-                        (count, Some(evicted))
-                    };
+                    // The Space Saving policy step: one `offer` on the new
+                    // summary, the seed's three-way branch on the old.
+                    let got = new.offer(key);
                     let want = if old.contains(&key) {
                         (old.increment(&key).expect("present"), None)
                     } else if !old.is_full() {

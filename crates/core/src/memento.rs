@@ -33,6 +33,7 @@ use std::collections::HashSet;
 use std::hash::Hash;
 
 use memento_sketches::fasthash::{hash_one, FastBuildHasher, PREFETCH_LOOKAHEAD};
+use memento_sketches::sampling::geometric_skip;
 use memento_sketches::{CompactMap, OverflowQueue, Sampler, SpaceSaving, TableSampler};
 
 use crate::config::MementoConfig;
@@ -373,6 +374,13 @@ impl<K: Eq + Hash + Clone> Memento<K> {
     #[inline]
     fn full_update_hashed(&mut self, key: K, hash: Option<u64>) {
         self.window_update();
+        self.record_hashed(key, hash);
+    }
+
+    /// The Full update's recording step, after its window step: the
+    /// Space-Saving insertion and, on overflow, the `b`/`B` entries.
+    #[inline]
+    fn record_hashed(&mut self, key: K, hash: Option<u64>) {
         self.full_updates += 1;
         let count = self.y.add_hashed(key.clone(), hash);
         if self.overflow_check.divides(count) {
@@ -404,15 +412,22 @@ impl<K: Eq + Hash + Clone> Memento<K> {
     /// Both batch entry points run on one replay core per τ regime; here
     /// key `i` lands at window offset `i + 1`. At τ < 1 the core makes two
     /// passes so the probe misses overlap: the first draws the geometric
-    /// skips, jumping straight from one sampled index to the next (the
-    /// draws never read the keys or the summary, so hoisting them keeps
-    /// the RNG stream bit-for-bit); the second visits only the sampled
-    /// keys, one closed-form window advance and one Full update each,
+    /// skips from the sampler's cache ([`TableSampler::next_skip`]: a
+    /// load once the table entry has been drawn before), jumping straight
+    /// from one sampled index to the next (the draws never read the keys
+    /// or the summary, so hoisting them keeps the RNG stream bit-for-bit);
+    /// the second visits only the sampled keys, one window advance up to
+    /// and including the key's own position and one recording step each,
     /// prefetching the in-frame summary's lines a [`PREFETCH_LOOKAHEAD`]
     /// ahead (see [`memento_sketches::fasthash::prefetch`]). The seed's
     /// interleaved loop survives as `update_batch_reference` for the
     /// differential property tests.
+    ///
+    /// # Panics
+    /// Panics if the stream position would pass `u64::MAX`
+    /// (`processed() + keys.len()` overflows), before any state changes.
     pub fn update_batch(&mut self, keys: &[K]) {
+        self.assert_room(keys.len() as u64, "update_batch");
         if self.tau >= 1.0 {
             self.replay_every_key(keys, |_| 0);
         } else {
@@ -467,15 +482,17 @@ impl<K: Eq + Hash + Clone> Memento<K> {
     /// at `at[i] = Σ_{j≤i} (gaps[j] + 1)`. At τ ≥ 1 each Full update
     /// follows a closed-form `skip(gaps[i])`. At τ < 1 one offset scan
     /// fills `at` in a reused buffer, and each sampled key's advance
-    /// covers the foreign gaps and the unsampled own packets before it in
-    /// one step: `update_batch`'s per-key cost plus one scan step. The seed's
-    /// interleaved loop survives as `update_batch_positioned_reference`
-    /// for the differential tests.
+    /// covers the foreign gaps, the unsampled own packets before it and
+    /// its own position in one step: `update_batch`'s per-key cost plus
+    /// one scan step. The seed's interleaved loop survives as
+    /// `update_batch_positioned_reference` for the differential tests.
     ///
     /// # Panics
-    /// Panics if `gaps` and `keys` differ in length, or if τ < 1 and the
-    /// batch's offsets overflow: `Σ (gaps[i] + 1) > u64::MAX`. Both checks
-    /// run before any state changes.
+    /// Panics if `gaps` and `keys` differ in length. At τ < 1 it also
+    /// panics if the batch's offsets overflow (`Σ (gaps[i] + 1) >
+    /// u64::MAX`) or the stream position would pass `u64::MAX`
+    /// (`processed() + Σ (gaps[i] + 1)` overflows). Every check runs
+    /// before any state changes.
     pub fn update_batch_positioned(&mut self, gaps: &[u64], keys: &[K]) {
         assert_eq!(gaps.len(), keys.len(), "one gap stamp per key");
         if self.tau >= 1.0 {
@@ -492,6 +509,7 @@ impl<K: Eq + Hash + Clone> Memento<K> {
                 .expect("update_batch_positioned: the batch's gap sum overflows u64");
             end
         }));
+        self.assert_room(end, "update_batch_positioned");
         self.replay_sampled(keys, |i| at[i]);
         self.batch_offsets = at;
     }
@@ -521,17 +539,18 @@ impl<K: Eq + Hash + Clone> Memento<K> {
     }
 
     /// The τ < 1 replay core. `end(i)`, strictly increasing, is the
-    /// window offset from the batch start just past key `i`; advancing to
-    /// `end(idx) − 1` before each sampled key covers exactly what the
-    /// per-key reference loop owes there.
+    /// window offset from the batch start just past key `i`. Advancing to
+    /// `end(idx)` covers what the per-key reference loop owes up to and
+    /// including the sampled key's own Window step (`advance_window(n)`
+    /// is `n` window updates), so the key then needs only its recording
+    /// step. The caller checks the batch's span up front.
     #[inline(always)]
     fn replay_sampled(&mut self, keys: &[K], end: impl Fn(usize) -> u64) {
         let mut sampled = std::mem::take(&mut self.batch_sampled);
         sampled.clear();
-        let ln_keep = (1.0 - self.tau).ln();
         let mut skip = match self.batch_skip.take() {
             Some(s) => s,
-            None => self.draw_skip(ln_keep),
+            None => self.sampler.next_skip(),
         };
         let mut i = 0usize;
         while i < keys.len() {
@@ -544,7 +563,7 @@ impl<K: Eq + Hash + Clone> Memento<K> {
             let idx = i + skip as usize;
             sampled.push(idx);
             i = idx + 1;
-            skip = self.draw_skip(ln_keep);
+            skip = self.sampler.next_skip();
         }
         self.batch_skip = Some(skip);
         let mut hashes = [0u64; PREFETCH_LOOKAHEAD];
@@ -562,8 +581,8 @@ impl<K: Eq + Hash + Clone> Memento<K> {
                 hashes[slot] = h;
             }
             let at = end(idx);
-            self.skip(at - 1 - done);
-            self.full_update_hashed(keys[idx].clone(), Some(hash));
+            self.advance(at - done);
+            self.record_hashed(keys[idx].clone(), Some(hash));
             done = at;
         }
         self.skip(keys.len().checked_sub(1).map_or(0, &end) - done);
@@ -608,12 +627,12 @@ impl<K: Eq + Hash + Clone> Memento<K> {
     }
 
     /// Draws a geometric skip (failures before the next success at rate τ)
-    /// from the random-number table via inversion.
+    /// from the random-number table, computing it afresh by inversion: the
+    /// draw of the `_reference` oracles, against which the batch cores'
+    /// cached [`TableSampler::next_skip`] is tested.
     #[inline]
     fn draw_skip(&mut self, ln_keep: f64) -> u64 {
-        // Map the table's u32 to the open interval (0, 1).
-        let u = (self.sampler.next_u32() as f64 + 0.5) / (u32::MAX as f64 + 1.0);
-        (u.ln() / ln_keep) as u64
+        geometric_skip(self.sampler.next_u32(), ln_keep)
     }
 
     /// Advances the window over `n` packets observed *elsewhere* — other
@@ -636,11 +655,25 @@ impl<K: Eq + Hash + Clone> Memento<K> {
     /// # Panics
     /// Panics if the stream position would pass `u64::MAX`
     /// (`processed() + n` overflows), before any state changes.
-    pub fn skip(&mut self, mut n: u64) {
+    pub fn skip(&mut self, n: u64) {
+        self.assert_room(n, "skip");
+        self.advance(n);
+    }
+
+    /// Panics, naming `caller`, unless the stream position can move `span`
+    /// more positions without passing `u64::MAX`.
+    #[inline]
+    fn assert_room(&self, span: u64, caller: &str) {
         assert!(
-            self.processed.checked_add(n).is_some(),
-            "skip: the stream position overflows u64"
+            self.processed.checked_add(span).is_some(),
+            "{caller}: the stream position overflows u64"
         );
+    }
+
+    /// [`Self::skip`] without its position check, for callers that checked
+    /// a whole batch's span up front.
+    #[inline]
+    fn advance(&mut self, mut n: u64) {
         // `advance_window` takes usize; chunk for 32-bit targets (and leave
         // headroom so `m + n` cannot overflow the position arithmetic).
         while n > 0 {
@@ -815,8 +848,10 @@ impl<K: Eq + Hash + Clone> Memento<K> {
     /// Approximate heap footprint in bytes of the algorithm's state: the
     /// in-frame Space-Saving summary, the per-block overflow queues and the
     /// overflow table `B`. The fixed-size random-number table of the sampler
-    /// is excluded — it is shared bookkeeping independent of the configured
-    /// accuracy, and the paper compares algorithms by counter space.
+    /// is excluded, and so is its skip cache (256 KiB once the batch path at
+    /// τ < 1 has filled it) — both are shared bookkeeping independent of the
+    /// configured accuracy, and the paper compares algorithms by counter
+    /// space.
     pub fn space_bytes(&self) -> usize {
         self.y.space_bytes() + self.b.space_bytes() + self.overflow_counts.heap_bytes()
     }
@@ -1059,6 +1094,7 @@ mod tests {
     use super::*;
     use memento_sketches::ExactWindow;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// The strength-reduced divisibility test must agree with `%` for
     /// every divisor shape (odd, power of two, mixed) across edge values.
@@ -1522,6 +1558,64 @@ mod tests {
         let mut memento = Memento::<u64>::new(8, 100, 1.0, 1);
         memento.skip(u64::MAX);
         memento.skip(1);
+    }
+
+    /// A batch whose span would carry the stream position past `u64::MAX`
+    /// panics, naming its entry point, at τ = 1 and at τ < 1.
+    #[test]
+    #[should_panic(expected = "update_batch: the stream position overflows u64")]
+    fn update_batch_past_u64_max_panics_at_tau_one() {
+        let mut memento = Memento::<u64>::new(8, 100, 1.0, 1);
+        memento.skip(u64::MAX - 5);
+        memento.update_batch(&[1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "update_batch: the stream position overflows u64")]
+    fn update_batch_past_u64_max_panics_when_sampled() {
+        let mut memento = Memento::<u64>::new(8, 100, 0.25, 1);
+        memento.skip(u64::MAX - 5);
+        memento.update_batch(&[1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "update_batch_positioned: the stream position overflows u64")]
+    fn positioned_batch_past_u64_max_panics_when_sampled() {
+        let mut memento = Memento::<u64>::new(8, 100, 0.25, 1);
+        memento.skip(u64::MAX - 100);
+        memento.update_batch_positioned(&[50, 60], &[1, 2]);
+    }
+
+    /// The span check runs before the skip draws: a refused batch leaves
+    /// the position, the carried skip and the sampler's next draws as
+    /// they were, so the stream continues as if it was never offered.
+    #[test]
+    fn overflowing_sampled_batch_changes_no_state() {
+        let mut memento = Memento::<u64>::new(8, 100, 0.25, 3);
+        memento.update_batch(&[1, 2, 3]);
+        memento.skip(u64::MAX - 10 - memento.processed());
+        let mut untouched = memento.clone();
+        let keys = [7u64; 20];
+        let refused = [
+            catch_unwind(AssertUnwindSafe(|| memento.update_batch(&keys))),
+            catch_unwind(AssertUnwindSafe(|| {
+                memento.update_batch_positioned(&[0; 20], &keys)
+            })),
+        ];
+        assert!(refused.iter().all(|r| r.is_err()));
+        assert_eq!(memento.processed(), untouched.processed());
+        assert_eq!(memento.batch_skip, untouched.batch_skip);
+        for _ in 0..64 {
+            assert_eq!(memento.sampler.next_u32(), untouched.sampler.next_u32());
+        }
+        memento.update_batch(&keys[..10]);
+        untouched.update_batch(&keys[..10]);
+        assert_eq!(memento.processed(), u64::MAX);
+        assert_eq!(memento.full_updates(), untouched.full_updates());
+        assert_eq!(
+            memento.estimate(&7).to_bits(),
+            untouched.estimate(&7).to_bits()
+        );
     }
 
     #[test]

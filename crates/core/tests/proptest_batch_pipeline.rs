@@ -15,12 +15,28 @@
 //! sampling), and — for the positioned path — random inter-arrival gaps
 //! up to whole windows and ~2^40 positions, plus all-zero gaps against
 //! `update_batch` itself.
+//!
+//! The batch cores read each geometric skip from the sampler's cache once
+//! its table entry has been drawn, while the references recompute every
+//! skip; a deterministic test drives both past several wraps of the
+//! 65,536-entry table, where the proptests' short streams never reach.
+//!
+//! The nightly deep fuzz raises the case count through `PROPTEST_CASES`.
 
 use memento_core::{Memento, SlidingWindowEstimator, Wcss};
 use proptest::prelude::*;
 
 /// The τ regimes under test: WCSS mode, moderate and aggressive sampling.
 const TAUS: [f64; 3] = [1.0, 0.25, 1.0 / 16.0];
+
+/// Case count, honoring `PROPTEST_CASES` (the vendored proptest stand-in
+/// has no built-in env support); unset, the proptest default.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(ProptestConfig::default().cases)
+}
 
 /// Assert that two Mementos are observationally identical, bit for bit.
 fn assert_same_state(pipelined: &Memento<u64>, reference: &Memento<u64>, keyspace: u64) {
@@ -55,7 +71,56 @@ fn gap() -> impl Strategy<Value = u64> {
     ]
 }
 
+/// The batch cores' cached skips ≡ the references' fresh draws past
+/// several wraps of the default table: 100k skip draws per τ at τ = ¼ and
+/// 1/16 (the second and later wraps hit the cache), with per-packet
+/// `update()` coins between the batches advancing the shared table
+/// position, on both entry points.
+#[test]
+fn cached_skips_equal_reference_across_table_wraps() {
+    for tau in [0.25, 1.0 / 16.0] {
+        let fresh = || Memento::new(24, 900, tau, 5);
+        let (mut batched, mut reference) = (fresh(), fresh());
+        let (mut positioned, mut positioned_reference) = (fresh(), fresh());
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let stream_len = (100_000.0 / tau) as usize;
+        let keys: Vec<u64> = (0..stream_len).map(|_| next() % 48).collect();
+        let gaps: Vec<u64> = keys.iter().map(|&k| u64::from(k < 6) * k).collect();
+        let mut start = 0;
+        while start < keys.len() {
+            let end = (start + 500 + (next() % 3000) as usize).min(keys.len());
+            batched.update_batch(&keys[start..end]);
+            reference.update_batch_reference(&keys[start..end]);
+            positioned.update_batch_positioned(&gaps[start..end], &keys[start..end]);
+            positioned_reference
+                .update_batch_positioned_reference(&gaps[start..end], &keys[start..end]);
+            for _ in 0..next() % 4 {
+                let key = next() % 48;
+                batched.update(key);
+                reference.update(key);
+                positioned.update(key);
+                positioned_reference.update(key);
+            }
+            start = end;
+        }
+        assert!(
+            batched.full_updates() > 65_536,
+            "the draws must wrap the table"
+        );
+        assert_same_state(&batched, &reference, 48);
+        assert_same_state(&positioned, &positioned_reference, 48);
+    }
+}
+
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
     /// Pipelined `update_batch` ≡ the seed per-key loop
     /// (`update_batch_reference`), bit for bit, in every τ regime.
     #[test]

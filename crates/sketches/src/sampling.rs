@@ -4,6 +4,12 @@
 //! sampling is implemented (§6.2): Memento uses a pre-filled *random number
 //! table*, whereas RHHH draws *geometric* skip counts. Both are provided here
 //! so the comparison of Figure 7 is faithful.
+//!
+//! The table also serves Memento's batch path (§5), which draws geometric
+//! skips from it by inversion ([`geometric_skip`]). A skip depends only on
+//! its table entry and τ, so [`TableSampler::next_skip`] caches each
+//! entry's skip the first time the entry is drawn: after one pass over the
+//! table a draw is a load instead of a logarithm and a divide.
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -27,7 +33,13 @@ pub struct TableSampler {
     table: Vec<u32>,
     threshold: u32,
     tau: f64,
+    /// `ln(1 − τ)`, the divisor of [`geometric_skip`].
+    ln_keep: f64,
     pos: usize,
+    /// Parallel to `table`, allocated by the first [`Self::next_skip`]:
+    /// 0 until the entry's skip is computed, then `skip + 1`. Skips that do
+    /// not fit stay 0 and are recomputed on every draw.
+    skips: Vec<u32>,
 }
 
 impl TableSampler {
@@ -62,7 +74,9 @@ impl TableSampler {
             table,
             threshold,
             tau,
+            ln_keep: (1.0 - tau).ln(),
             pos: 0,
+            skips: Vec::new(),
         }
     }
 
@@ -71,13 +85,61 @@ impl TableSampler {
     /// H-Memento's random prefix pick) pay for a single table read.
     #[inline]
     pub fn next_u32(&mut self) -> u32 {
-        let v = self.table[self.pos];
+        let pos = self.advance();
+        self.table[pos]
+    }
+
+    /// Returns the geometric skip of the next table entry (also advances
+    /// it): the number of failures before the next success at rate τ,
+    /// [`geometric_skip`]`(entry, ln(1 − τ))`. It shares the table position
+    /// with [`Self::next_u32`] and [`Sampler::sample`], so coins and skips
+    /// drawn from one sampler interleave on one stream.
+    ///
+    /// The first call allocates a skip cache parallel to the table (4 bytes
+    /// per entry); each entry's skip is computed on its first draw and
+    /// loaded from the cache afterwards. Skips of `u32::MAX` or more (τ
+    /// below about 5·10⁻⁹) are recomputed on every draw.
+    // Always inlined, fill included: as a call per draw, or with the fill
+    // in a `#[cold]` function, a first draw measured 11–15 ns slower
+    // (x86-64, 2-vCPU VM), about double, and every draw of a fresh
+    // instance's warm-up is a first draw.
+    #[inline(always)]
+    pub fn next_skip(&mut self) -> u64 {
+        if self.skips.is_empty() {
+            self.skips = vec![0; self.table.len()];
+        }
+        let pos = self.advance();
+        let cached = self.skips[pos];
+        if cached != 0 {
+            return u64::from(cached - 1);
+        }
+        let skip = geometric_skip(self.table[pos], self.ln_keep);
+        if skip < u64::from(u32::MAX) {
+            self.skips[pos] = skip as u32 + 1;
+        }
+        skip
+    }
+
+    /// Moves to the next table entry, wrapping, and returns the current one.
+    #[inline]
+    fn advance(&mut self) -> usize {
+        let pos = self.pos;
         self.pos += 1;
         if self.pos == self.table.len() {
             self.pos = 0;
         }
-        v
+        pos
     }
+}
+
+/// The geometric skip a uniform `x` encodes: the number of failures before
+/// the next success at rate τ, by inversion, `⌊ln(u) / ln(1 − τ)⌋` with
+/// `u = (x + 0.5) / 2³²` in the open interval (0, 1). `ln_keep` is
+/// `ln(1 − τ)`. Skips too large for a `u64` saturate at `u64::MAX`.
+#[inline]
+pub fn geometric_skip(x: u32, ln_keep: f64) -> u64 {
+    let u = (x as f64 + 0.5) / (u32::MAX as f64 + 1.0);
+    (u.ln() / ln_keep) as u64
 }
 
 #[inline]
@@ -317,6 +379,66 @@ mod tests {
     #[should_panic(expected = "tau")]
     fn geometric_sampler_rejects_zero_tau() {
         let _ = GeometricSampler::new(0.0, 0);
+    }
+
+    /// Draws one value of each kind at irregular points, from `cached` and
+    /// from `twin` (same table, same position), and checks they agree:
+    /// coins and raw entries equal, and `next_skip` equals
+    /// [`geometric_skip`] of the entry `twin` shows it consuming.
+    fn assert_skips_match(cached: &mut TableSampler, twin: &mut TableSampler, draws: usize) {
+        let ln_keep = (1.0 - cached.probability()).ln();
+        for step in 0..draws {
+            match (step * 7 + step / 5) % 11 {
+                0 => assert_eq!(cached.sample(), twin.sample(), "coin {step}"),
+                1 => assert_eq!(cached.next_u32(), twin.next_u32(), "entry {step}"),
+                _ => assert_eq!(
+                    cached.next_skip(),
+                    geometric_skip(twin.next_u32(), ln_keep),
+                    "skip {step}"
+                ),
+            }
+        }
+    }
+
+    /// Over four cycles of a small table, with coins and raw draws
+    /// interleaved on the shared position, every cached skip equals a
+    /// fresh inversion of the entry it was drawn from.
+    #[test]
+    fn next_skip_matches_geometric_skip_across_table_wraps() {
+        let size = 257;
+        for &tau in &[0.25, 1.0 / 16.0, 0.9] {
+            let mut cached = TableSampler::with_table_size(tau, size, 11);
+            let mut twin = TableSampler::with_table_size(tau, size, 11);
+            cached.sample();
+            twin.sample();
+            assert!(cached.skips.is_empty(), "coins alone allocate no cache");
+            assert_skips_match(&mut cached, &mut twin, 4 * size);
+            assert_eq!(cached.skips.len(), size);
+            let filled = cached.skips.iter().filter(|&&c| c != 0).count();
+            assert!(filled > size / 2, "only {filled} entries cached");
+        }
+    }
+
+    /// At τ = 10⁻¹² most skips exceed `u32::MAX`: those are recomputed on
+    /// every draw and never cached, and still equal a fresh inversion.
+    #[test]
+    fn skips_too_large_for_the_cache_are_recomputed() {
+        let (size, tau) = (257, 1e-12);
+        let mut cached = TableSampler::with_table_size(tau, size, 5);
+        let mut twin = TableSampler::with_table_size(tau, size, 5);
+        assert_skips_match(&mut cached, &mut twin, 4 * size);
+        let ln_keep = (1.0 - tau).ln();
+        let mut uncached = 0;
+        for (&x, &c) in cached.table.iter().zip(&cached.skips) {
+            let skip = geometric_skip(x, ln_keep);
+            if skip >= u64::from(u32::MAX) {
+                assert_eq!(c, 0, "skip {skip} must not be cached");
+                uncached += 1;
+            } else if c != 0 {
+                assert_eq!(u64::from(c - 1), skip);
+            }
+        }
+        assert!(uncached > size / 2, "only {uncached} entries overflow u32");
     }
 
     #[test]

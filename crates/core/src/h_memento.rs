@@ -28,6 +28,7 @@ use memento_sketches::PrefixSampler;
 
 use crate::analysis::z_value;
 use crate::memento::Memento;
+use crate::query::{FrozenHhh, HhhQuery};
 
 /// H-Memento: hierarchical heavy hitters over a sliding window in constant
 /// time per packet.
@@ -260,6 +261,33 @@ where
     /// Access to the underlying Memento instance (diagnostics, tests).
     pub fn as_memento(&self) -> &Memento<Hi::Prefix> {
         &self.memento
+    }
+
+    /// Captures an immutable [`FrozenHhh`] answering exactly the queries
+    /// this instance would answer right now: the candidate set with its
+    /// frequency bounds plus the `OUTPUT` parameters (`W`, sampling
+    /// slack), in the live candidate enumeration order so the frozen
+    /// `output` is bit-for-bit equal to the live one at any threshold.
+    pub fn freeze(&self) -> FrozenHhh<Hi> {
+        let memento = &self.memento;
+        let candidates = memento.tracked_keys();
+        let bounds = candidates
+            .iter()
+            .map(|p| (*p, (memento.upper_bound(p), memento.lower_bound(p))))
+            .collect();
+        FrozenHhh::capture(
+            HhhQuery::<Hi>::name(self),
+            self.hier.clone(),
+            self.window,
+            self.sampling_slack(),
+            candidates,
+            bounds,
+            // Absent prefixes get the fill-state-dependent upper slack and
+            // a zero lower bound (no overflows recorded).
+            memento.untracked_estimate(),
+            0.0,
+            self.processed(),
+        )
     }
 }
 

@@ -480,7 +480,8 @@ impl<K: Eq + Hash + Clone> Memento<K> {
     ///
     /// Runs on [`Self::update_batch`]'s replay cores with key `i` landing
     /// at `at[i] = Σ_{j≤i} (gaps[j] + 1)`. At τ ≥ 1 each Full update
-    /// follows a closed-form `skip(gaps[i])`. At τ < 1 one offset scan
+    /// follows a closed-form advance over `gaps[i]`, after one pass sums
+    /// the offsets for the span check. At τ < 1 one offset scan
     /// fills `at` in a reused buffer, and each sampled key's advance
     /// covers the foreign gaps, the unsampled own packets before it and
     /// its own position in one step: `update_batch`'s per-key cost plus
@@ -488,14 +489,20 @@ impl<K: Eq + Hash + Clone> Memento<K> {
     /// `update_batch_positioned_reference` for the differential tests.
     ///
     /// # Panics
-    /// Panics if `gaps` and `keys` differ in length. At τ < 1 it also
-    /// panics if the batch's offsets overflow (`Σ (gaps[i] + 1) >
-    /// u64::MAX`) or the stream position would pass `u64::MAX`
-    /// (`processed() + Σ (gaps[i] + 1)` overflows). Every check runs
-    /// before any state changes.
+    /// Panics if `gaps` and `keys` differ in length, if the batch's offsets
+    /// overflow (`Σ (gaps[i] + 1) > u64::MAX`), or if the stream position
+    /// would pass `u64::MAX` (`processed() + Σ (gaps[i] + 1)` overflows).
+    /// Every check runs before any state changes.
     pub fn update_batch_positioned(&mut self, gaps: &[u64], keys: &[K]) {
         assert_eq!(gaps.len(), keys.len(), "one gap stamp per key");
+        let offset = |end: u64, gap: u64| {
+            end.checked_add(gap)
+                .and_then(|e| e.checked_add(1))
+                .expect("update_batch_positioned: the batch's gap sum overflows u64")
+        };
         if self.tau >= 1.0 {
+            let end = gaps.iter().fold(0, |end, &gap| offset(end, gap));
+            self.assert_room(end, "update_batch_positioned");
             self.replay_every_key(keys, |i| gaps[i]);
             return;
         }
@@ -503,10 +510,7 @@ impl<K: Eq + Hash + Clone> Memento<K> {
         at.clear();
         let mut end = 0u64;
         at.extend(gaps.iter().map(|&gap| {
-            end = end
-                .checked_add(gap)
-                .and_then(|e| e.checked_add(1))
-                .expect("update_batch_positioned: the batch's gap sum overflows u64");
+            end = offset(end, gap);
             end
         }));
         self.assert_room(end, "update_batch_positioned");
@@ -519,6 +523,7 @@ impl<K: Eq + Hash + Clone> Memento<K> {
     /// from [`Self::update_batch`], where it compiles away). Each key is
     /// hashed once, when its prefetch is issued [`PREFETCH_LOOKAHEAD`]
     /// keys early, and the hash rides a ring buffer to the key's probe.
+    /// The caller checks the batch's span up front.
     #[inline(always)]
     fn replay_every_key(&mut self, keys: &[K], gap: impl Fn(usize) -> u64) {
         let mut hashes = [0u64; PREFETCH_LOOKAHEAD];
@@ -533,7 +538,7 @@ impl<K: Eq + Hash + Clone> Memento<K> {
                 self.y.prefetch_hashed(h);
                 hashes[slot] = h;
             }
-            self.skip(gap(i));
+            self.advance(gap(i));
             self.full_update_hashed(key.clone(), Some(hash));
         }
     }
@@ -1015,7 +1020,7 @@ impl<K: Eq + Hash + Clone> Memento<K> {
         let absent_changed = absent != self.last_absent;
         self.last_absent = absent;
         let untracked = self.untracked_estimate();
-        if map_drain.all_dirty || y_drain.cleared {
+        if map_drain.rebuild || y_drain.rebuild {
             let mut updated = Vec::new();
             for (k, _) in self.overflow_counts.iter() {
                 let rank = self
@@ -1053,13 +1058,13 @@ impl<K: Eq + Hash + Clone> Memento<K> {
                 candidates.insert(k.clone());
             }
         }
-        candidates.extend(map_drain.removed);
+        candidates.extend(map_drain.departed);
         for slot in y_drain.dirty_slots {
             if let Some((k, _, _)) = self.y.slot_entry(slot) {
                 candidates.insert(k.clone());
             }
         }
-        candidates.extend(y_drain.evicted);
+        candidates.extend(y_drain.departed);
         if absent_changed {
             for (k, _) in self.overflow_counts.iter() {
                 if self.y.slot_of(k).is_none() {
@@ -1580,42 +1585,53 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "update_batch_positioned: the stream position overflows u64")]
+    fn positioned_batch_past_u64_max_panics_at_tau_one() {
+        let mut memento = Memento::<u64>::new(8, 100, 1.0, 1);
+        memento.skip(u64::MAX - 100);
+        memento.update_batch_positioned(&[50, 60], &[1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "update_batch_positioned: the stream position overflows u64")]
     fn positioned_batch_past_u64_max_panics_when_sampled() {
         let mut memento = Memento::<u64>::new(8, 100, 0.25, 1);
         memento.skip(u64::MAX - 100);
         memento.update_batch_positioned(&[50, 60], &[1, 2]);
     }
 
-    /// The span check runs before the skip draws: a refused batch leaves
-    /// the position, the carried skip and the sampler's next draws as
-    /// they were, so the stream continues as if it was never offered.
+    /// The span check runs before the skip draws and before the first
+    /// key, at τ < 1 and at τ = 1: a refused batch leaves the position,
+    /// the carried skip and the sampler's next draws as they were, so the
+    /// stream continues as if it was never offered.
     #[test]
     fn overflowing_sampled_batch_changes_no_state() {
-        let mut memento = Memento::<u64>::new(8, 100, 0.25, 3);
-        memento.update_batch(&[1, 2, 3]);
-        memento.skip(u64::MAX - 10 - memento.processed());
-        let mut untouched = memento.clone();
-        let keys = [7u64; 20];
-        let refused = [
-            catch_unwind(AssertUnwindSafe(|| memento.update_batch(&keys))),
-            catch_unwind(AssertUnwindSafe(|| {
-                memento.update_batch_positioned(&[0; 20], &keys)
-            })),
-        ];
-        assert!(refused.iter().all(|r| r.is_err()));
-        assert_eq!(memento.processed(), untouched.processed());
-        assert_eq!(memento.batch_skip, untouched.batch_skip);
-        for _ in 0..64 {
-            assert_eq!(memento.sampler.next_u32(), untouched.sampler.next_u32());
+        for tau in [0.25, 1.0] {
+            let mut memento = Memento::<u64>::new(8, 100, tau, 3);
+            memento.update_batch(&[1, 2, 3]);
+            memento.skip(u64::MAX - 10 - memento.processed());
+            let mut untouched = memento.clone();
+            let keys = [7u64; 20];
+            let refused = [
+                catch_unwind(AssertUnwindSafe(|| memento.update_batch(&keys))),
+                catch_unwind(AssertUnwindSafe(|| {
+                    memento.update_batch_positioned(&[0; 20], &keys)
+                })),
+            ];
+            assert!(refused.iter().all(|r| r.is_err()), "τ = {tau}");
+            assert_eq!(memento.processed(), untouched.processed(), "τ = {tau}");
+            assert_eq!(memento.batch_skip, untouched.batch_skip);
+            for _ in 0..64 {
+                assert_eq!(memento.sampler.next_u32(), untouched.sampler.next_u32());
+            }
+            memento.update_batch(&keys[..10]);
+            untouched.update_batch(&keys[..10]);
+            assert_eq!(memento.processed(), u64::MAX);
+            assert_eq!(memento.full_updates(), untouched.full_updates());
+            assert_eq!(
+                memento.estimate(&7).to_bits(),
+                untouched.estimate(&7).to_bits()
+            );
         }
-        memento.update_batch(&keys[..10]);
-        untouched.update_batch(&keys[..10]);
-        assert_eq!(memento.processed(), u64::MAX);
-        assert_eq!(memento.full_updates(), untouched.full_updates());
-        assert_eq!(
-            memento.estimate(&7).to_bits(),
-            untouched.estimate(&7).to_bits()
-        );
     }
 
     #[test]

@@ -18,12 +18,13 @@
 //! they serve implement *only* the query traits, so code written against
 //! `&dyn WindowQuery<K>` cannot accidentally take a blocking ingest path.
 //!
-//! [`FrozenWindow`] and [`FrozenHhh`] are the immutable value types a live
-//! algorithm produces via [`WindowQuery::freeze`] / [`HhhQuery::freeze`]:
-//! self-contained summaries that answer the same queries the live instance
-//! would have answered at freeze time, bit-for-bit, without referencing the
-//! live state. The sharded engines freeze one per shard inside the worker
-//! threads and merge them into publication snapshots.
+//! [`FrozenWindow`] and [`FrozenHhh`] are immutable value types: summaries
+//! that answer the same queries the live instance would have answered at
+//! freeze time, bit-for-bit, without referencing the live state. Any
+//! estimator builds a `FrozenWindow` through [`WindowQuery::freeze`];
+//! [`HMemento::freeze`](crate::HMemento::freeze) builds a `FrozenHhh`, one
+//! per shard of the sharded HHH engine. The sharded estimator engine
+//! publishes [`WindowQuery::freeze_delta`] patches instead.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -103,8 +104,11 @@ pub trait WindowQuery<K: Clone> {
     /// Takes `&mut self` because native implementors drain internal dirty
     /// journals. The provided implementation has no journal and simply
     /// returns a full [`WindowPatch::rebuild`] every time — correct for any
-    /// implementor, O(k) like `freeze`. Native O(dirty) implementations
-    /// exist for the Memento family, Space Saving, and the exact window.
+    /// implementor, O(k) like `freeze`. Only the Memento family
+    /// ([`Memento`](crate::Memento), [`Wcss`](crate::Wcss)) patches in
+    /// O(dirty) ([`Memento::freeze_patch`](crate::Memento::freeze_patch));
+    /// wrappers such as [`TimedWindow`](crate::TimedWindow) forward to the
+    /// estimator they wrap.
     fn freeze_delta(&mut self) -> WindowPatch<K>
     where
         K: Eq + Hash,
@@ -136,15 +140,6 @@ pub trait HhhQuery<Hi: Hierarchy> {
 
     /// Total packets processed as of the state being queried.
     fn processed(&self) -> u64;
-
-    /// Captures an immutable [`FrozenHhh`] answering exactly the queries
-    /// this instance would answer right now, or `None` for algorithms whose
-    /// query state cannot be extracted into a self-contained summary (the
-    /// default). Sliding-window algorithms behind the sharded engine must
-    /// return `Some` — the engine checks at construction.
-    fn freeze(&self) -> Option<FrozenHhh<Hi>> {
-        None
-    }
 }
 
 /// An immutable point-in-time summary of a [`WindowQuery`] implementor.
@@ -352,9 +347,5 @@ impl<Hi: Hierarchy> HhhQuery<Hi> for FrozenHhh<Hi> {
 
     fn processed(&self) -> u64 {
         self.processed
-    }
-
-    fn freeze(&self) -> Option<FrozenHhh<Hi>> {
-        Some(self.clone())
     }
 }

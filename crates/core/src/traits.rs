@@ -27,11 +27,9 @@
 //! `Vec<Box<dyn SlidingWindowEstimator<u64>>>` (as the workspace's
 //! trait-object smoke test does) or take `&mut dyn HhhAlgorithm<_>`.
 
-use std::collections::HashSet;
 use std::hash::Hash;
 
 use memento_hierarchy::Hierarchy;
-use memento_sketches::fasthash::FastBuildHasher;
 use memento_sketches::{ExactWindow, SpaceSaving};
 
 pub use crate::query::{FrozenHhh, FrozenWindow, HhhQuery, WindowQuery};
@@ -350,60 +348,6 @@ impl<K: Eq + Hash + Clone> WindowQuery<K> for ExactWindow<K> {
     fn error_bound(&self) -> f64 {
         0.0
     }
-
-    /// O(dirty) incremental freeze over the journaled count table: flows at
-    /// dirty slots are re-emitted with their slot as the tie-breaking rank
-    /// (the live heavy-hitter sort is a stable descending pass over the
-    /// table's slot order), removed flows are dropped. Wholesale clears
-    /// (`skip` past the whole window) degrade to a rebuild.
-    fn freeze_delta(&mut self) -> WindowPatch<K> {
-        if !self.journal_enabled() {
-            self.enable_journal();
-        }
-        let drain = self.drain_journal().expect("journal enabled above");
-        let processed = ExactWindow::processed(self);
-        if drain.all_dirty {
-            let mut updated = Vec::new();
-            for (k, c) in ExactWindow::iter(self) {
-                let rank = self.slot_of(k).expect("iterated key is present") as u64;
-                updated.push((k.clone(), c as f64, rank));
-            }
-            return WindowPatch {
-                rebuild: true,
-                updated,
-                removed: Vec::new(),
-                untracked: 0.0,
-                processed,
-                error_bound: 0.0,
-            };
-        }
-        let mut candidates: HashSet<K, FastBuildHasher> = HashSet::default();
-        for slot in drain.dirty_slots {
-            if let Some((k, _)) = self.slot_entry(slot) {
-                candidates.insert(k.clone());
-            }
-        }
-        candidates.extend(drain.removed);
-        let mut updated = Vec::new();
-        let mut removed = Vec::new();
-        for k in candidates {
-            match self.slot_of(&k) {
-                Some(slot) => {
-                    let est = self.query(&k) as f64;
-                    updated.push((k, est, slot as u64));
-                }
-                None => removed.push(k),
-            }
-        }
-        WindowPatch {
-            rebuild: false,
-            updated,
-            removed,
-            untracked: 0.0,
-            processed,
-            error_bound: 0.0,
-        }
-    }
 }
 
 impl<K: Eq + Hash + Clone> SlidingWindowEstimator<K> for ExactWindow<K> {
@@ -454,62 +398,6 @@ impl<K: Eq + Hash + Clone> WindowQuery<K> for SpaceSaving<K> {
     /// count once the summary is full ([`SpaceSaving::absent_query`]).
     fn untracked_estimate(&self) -> f64 {
         self.absent_query() as f64
-    }
-
-    /// O(dirty) incremental freeze over the journaled stream summary:
-    /// flows at dirty slots are re-emitted with their summary slot as the
-    /// tie-breaking rank (the live heavy-hitter sort is a stable descending
-    /// pass over the summary's slot order), evicted flows are dropped.
-    /// A flush (`clear`) degrades to a rebuild.
-    fn freeze_delta(&mut self) -> WindowPatch<K> {
-        if !self.journal_enabled() {
-            self.enable_journal();
-        }
-        let drain = self.drain_journal().expect("journal enabled above");
-        let untracked = self.absent_query() as f64;
-        let processed = SpaceSaving::processed(self);
-        let error_bound = WindowQuery::error_bound(self);
-        if drain.cleared {
-            let mut updated = Vec::new();
-            for snap in self.snapshot() {
-                let rank = self.slot_of(&snap.key).expect("snapshotted key is present") as u64;
-                updated.push((snap.key, snap.count as f64, rank));
-            }
-            return WindowPatch {
-                rebuild: true,
-                updated,
-                removed: Vec::new(),
-                untracked,
-                processed,
-                error_bound,
-            };
-        }
-        let mut candidates: HashSet<K, FastBuildHasher> = HashSet::default();
-        for slot in drain.dirty_slots {
-            if let Some((k, _, _)) = self.slot_entry(slot) {
-                candidates.insert(k.clone());
-            }
-        }
-        candidates.extend(drain.evicted);
-        let mut updated = Vec::new();
-        let mut removed = Vec::new();
-        for k in candidates {
-            match self.slot_of(&k) {
-                Some(slot) => {
-                    let est = self.query(&k) as f64;
-                    updated.push((k, est, slot as u64));
-                }
-                None => removed.push(k),
-            }
-        }
-        WindowPatch {
-            rebuild: false,
-            updated,
-            removed,
-            untracked,
-            processed,
-            error_bound,
-        }
     }
 }
 
@@ -651,7 +539,8 @@ pub trait HhhAlgorithm<Hi: Hierarchy>: HhhQuery<Hi> {
     /// instance keeps its window at the global stream position** via
     /// [`skip`](Self::skip) (see [`SlidingWindowEstimator::mergeable`]; for
     /// hierarchies the merge is summation because one prefix aggregates
-    /// items from every partition). Required by the `memento-shard` engine.
+    /// items from every partition). The `memento-shard` engine shards
+    /// [`HMemento`], which qualifies.
     fn mergeable(&self) -> bool {
         true
     }
@@ -675,32 +564,6 @@ where
 
     fn processed(&self) -> u64 {
         HMemento::processed(self)
-    }
-
-    /// Captures the candidate set with its frequency bounds plus the
-    /// `OUTPUT` parameters (`W`, sampling slack), preserving the live
-    /// candidate enumeration order so the frozen `output` is bit-for-bit
-    /// equal to the live one at any threshold.
-    fn freeze(&self) -> Option<FrozenHhh<Hi>> {
-        let memento = self.as_memento();
-        let candidates = memento.tracked_keys();
-        let bounds = candidates
-            .iter()
-            .map(|p| (*p, (memento.upper_bound(p), memento.lower_bound(p))))
-            .collect();
-        Some(FrozenHhh::capture(
-            HhhQuery::<Hi>::name(self),
-            self.hierarchy().clone(),
-            self.window(),
-            self.sampling_slack(),
-            candidates,
-            bounds,
-            // Absent prefixes get the fill-state-dependent upper slack and
-            // a zero lower bound (no overflows recorded).
-            memento.untracked_estimate(),
-            0.0,
-            HMemento::processed(self),
-        ))
     }
 }
 

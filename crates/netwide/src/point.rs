@@ -34,9 +34,6 @@ pub struct MeasurementPoint<T: Copy + Eq + Hash> {
     covered: u64,
     /// Exact counts of the point's share of the window (Aggregation only).
     local_window: Option<ExactWindow<T>>,
-    /// Maximum number of counter entries shipped per Aggregation snapshot
-    /// (the size of the per-client summary whose entries get transmitted).
-    aggregation_entries: usize,
     /// Byte credit accumulated at `budget` bytes per packet (Aggregation).
     credit: f64,
     /// Total bytes this point has sent (for budget-compliance checks).
@@ -80,22 +77,15 @@ impl<T: Copy + Eq + Hash> MeasurementPoint<T> {
             pending: Vec::new(),
             covered: 0,
             local_window,
-            aggregation_entries: Self::DEFAULT_AGGREGATION_ENTRIES,
             credit: 0.0,
             bytes_sent: 0.0,
             packets_seen: 0,
         }
     }
 
-    /// Default number of counter entries per Aggregation snapshot.
+    /// Number of counter entries shipped per Aggregation snapshot: the
+    /// size of the per-client summary whose entries get transmitted.
     pub const DEFAULT_AGGREGATION_ENTRIES: usize = 4_096;
-
-    /// Overrides the number of counter entries shipped per Aggregation
-    /// snapshot (ignored by the Sample/Batch methods).
-    pub fn set_aggregation_entries(&mut self, entries: usize) {
-        assert!(entries > 0, "at least one entry per snapshot");
-        self.aggregation_entries = entries;
-    }
 
     /// The point's identifier.
     pub fn id(&self) -> usize {
@@ -159,13 +149,13 @@ impl<T: Copy + Eq + Hash> MeasurementPoint<T> {
                 // A snapshot ships the entries of the point's HH summary
                 // (bounded, like the paper's per-client algorithm state),
                 // not every distinct flow it ever saw.
-                let entries = window.distinct().min(self.aggregation_entries);
+                let entries = window.distinct().min(Self::DEFAULT_AGGREGATION_ENTRIES);
                 let cost = self.wire.aggregation_bytes(entries);
                 if self.credit >= cost {
                     self.credit -= cost;
                     let mut all: Vec<(T, u64)> = window.iter().map(|(k, c)| (*k, c)).collect();
                     all.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
-                    all.truncate(self.aggregation_entries);
+                    all.truncate(Self::DEFAULT_AGGREGATION_ENTRIES);
                     let covered = std::mem::take(&mut self.covered);
                     Some(Report::aggregation(self.id, covered, all, &self.wire))
                 } else {

@@ -5,7 +5,7 @@
 //! estimation and hierarchical heavy hitters — the routed item, the part a
 //! shard freezes for a publication and how the parts merge — is named by
 //! the small [`Shard`] trait, which [`BoxedEstimator`](crate::BoxedEstimator)
-//! and [`BoxedHhh`](crate::BoxedHhh) implement.
+//! and [`HMemento`](memento_core::HMemento) implement.
 
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -37,9 +37,9 @@ pub trait Shard: Send + Sized + 'static {
     type Snapshot: Send + Sync + 'static;
 
     /// Panics unless the engine can scale this algorithm: its `skip` must
-    /// anchor a shard's window at the global stream position, and it must
-    /// freeze a publication part.
-    fn assert_shardable(&self);
+    /// anchor a shard's window at the global stream position. The default
+    /// accepts, for shard types whose every value qualifies.
+    fn assert_shardable(&self) {}
 
     /// The additive per-key error bound this shard reports; the engine and
     /// its readers report the worst one. Zero for algorithms whose query
@@ -141,9 +141,9 @@ impl<A: Shard> Engine<A> {
     ///
     /// # Panics
     /// Panics when `shards` is zero or a factory-built algorithm fails
-    /// [`Shard::assert_shardable`]: interval algorithms (Space Saving, MST,
-    /// RHHH) have no `skip` that can advance a window over packets recorded
-    /// elsewhere, so they cannot be sharded.
+    /// [`Shard::assert_shardable`]: an interval estimator (Space Saving)
+    /// has no `skip` that can advance a window over packets recorded
+    /// elsewhere, so it cannot be sharded.
     pub fn new(name: &'static str, shards: usize, factory: impl FnMut(usize) -> A) -> Self {
         assert!(shards > 0, "shard count must be positive");
         let algorithms: Vec<A> = (0..shards).map(factory).collect();

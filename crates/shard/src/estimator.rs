@@ -167,8 +167,8 @@ impl<K: Eq + Hash + Clone + Send + Sync + 'static> SlidingWindowEstimator<K>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BoxedHhh, HhhEngineSnapshot, PublishPolicy, ShardedHhh};
-    use memento_core::{GrainMap, HhhQuery, WindowQuery};
+    use crate::{HhhEngineSnapshot, PublishPolicy, ShardedHhh};
+    use memento_core::{GrainMap, HMemento, HhhQuery, WindowQuery};
     use memento_hierarchy::{Prefix1D, SrcHierarchy};
     use memento_sketches::fasthash;
 
@@ -187,7 +187,7 @@ mod tests {
         }
     }
 
-    impl Probe for BoxedHhh<SrcHierarchy> {
+    impl Probe for HMemento<SrcHierarchy> {
         /// Every /8.
         fn probe(s: &HhhEngineSnapshot<SrcHierarchy>) -> (u64, u64, Vec<f64>) {
             let estimates = (0..=255u32)

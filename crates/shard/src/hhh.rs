@@ -7,11 +7,15 @@ use memento_hierarchy::Hierarchy;
 use crate::engine::{Assembler, Engine, Reader, Shard};
 use crate::snapshot::HhhEngineSnapshot;
 
-/// The boxed per-shard HHH algorithm each worker thread owns.
-pub type BoxedHhh<Hi> = Box<dyn HhhAlgorithm<Hi> + Send>;
-
-/// A hierarchical heavy-hitters algorithm scaled across worker threads:
-/// the [`Engine`] over [`BoxedHhh`]s.
+/// Sliding-window hierarchical heavy hitters scaled across worker threads:
+/// the [`Engine`] over [`HMemento`] shards.
+///
+/// H-Memento is the HHH algorithm the engine can scale: its `skip`
+/// anchors a shard's window at the global stream position, and it freezes
+/// a self-contained [`FrozenHhh`] per publication. The interval
+/// algorithms (MST, RHHH) cannot anchor a window, and the window
+/// baselines (`WindowMst`, `ExactWindowHhh`) cannot freeze, so the type
+/// admits no other.
 ///
 /// Unlike per-flow estimation, a *prefix* aggregates many items that may
 /// hash to different shards, so the merge is summation rather than
@@ -22,12 +26,12 @@ pub type BoxedHhh<Hi> = Box<dyn HhhAlgorithm<Hi> + Send>;
 /// candidates are therefore collected at the per-shard threshold `θ/N` and
 /// the union is re-validated against the global `θ·W` bar using the summed
 /// (upper-bound) estimates (see [`HhhEngineSnapshot`]).
-pub type ShardedHhh<Hi> = Engine<BoxedHhh<Hi>>;
+pub type ShardedHhh<Hi> = Engine<HMemento<Hi>>;
 
 /// A [`Reader`] of a [`ShardedHhh`]'s snapshots.
-pub type HhhSnapshotReader<Hi> = Reader<BoxedHhh<Hi>>;
+pub type HhhSnapshotReader<Hi> = Reader<HMemento<Hi>>;
 
-impl<Hi> Shard for BoxedHhh<Hi>
+impl<Hi> Shard for HMemento<Hi>
 where
     Hi: Hierarchy + Send + Sync + 'static,
     Hi::Item: Send + 'static,
@@ -37,22 +41,6 @@ where
     /// A full immutable summary: candidates with their frequency bounds.
     type Part = FrozenHhh<Hi>;
     type Snapshot = HhhEngineSnapshot<Hi>;
-
-    fn assert_shardable(&self) {
-        assert!(
-            self.mergeable(),
-            "{} cannot answer global-position window queries across item partitions \
-             (its skip cannot anchor a shard's window at the global stream position); \
-             it cannot be sharded",
-            self.name()
-        );
-        assert!(
-            self.freeze().is_some(),
-            "{} cannot freeze a snapshot summary; the sharded query plane serves \
-             every read from published snapshots and requires HhhQuery::freeze",
-            self.name()
-        );
-    }
 
     /// HHH queries report no additive error bound.
     fn error_bound(&self) -> f64 {
@@ -70,11 +58,10 @@ where
 
     fn freeze_part(&mut self) -> FrozenHhh<Hi> {
         self.freeze()
-            .expect("freeze capability checked at construction")
     }
 
     fn space_bytes(&self) -> usize {
-        (**self).space_bytes()
+        self.as_memento().space_bytes()
     }
 
     fn assembler(name: &'static str, _: usize, _: f64) -> Assembler<Self> {
@@ -107,14 +94,7 @@ where
     ) -> Self {
         Self::new("sharded-h-memento", shards, move |i| {
             let shard_seed = seed.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            Box::new(HMemento::new(
-                hier.clone(),
-                counters,
-                window,
-                tau,
-                delta,
-                shard_seed,
-            ))
+            HMemento::new(hier.clone(), counters, window, tau, delta, shard_seed)
         })
     }
 }
@@ -274,15 +254,6 @@ mod tests {
         assert_eq!(reader.processed(), window as u64);
         assert!(reader.estimate(&p8) >= window as f64 * 0.7);
         assert!(reader.output(0.5).contains(&p8));
-    }
-
-    #[test]
-    #[should_panic(expected = "global-position window")]
-    fn interval_algorithms_are_refused() {
-        use memento_baselines::Mst;
-        let _ = ShardedHhh::<SrcHierarchy>::new("sharded-mst", 2, |_| {
-            Box::new(Mst::new(SrcHierarchy, 64))
-        });
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! # memento-shard
 //!
 //! Multi-core sharding engine for the Memento reproduction: one [`Engine`]
-//! scales any
+//! scales any mergeable
 //! [`SlidingWindowEstimator`](memento_core::traits::SlidingWindowEstimator)
-//! ([`ShardedEstimator`]) or
-//! [`HhhAlgorithm`](memento_core::traits::HhhAlgorithm) ([`ShardedHhh`])
-//! across worker threads while answering the *same* window queries through
-//! the *same* object-safe traits. The engine is written once; the small
-//! [`Shard`] trait names what the two kinds of algorithm do differently.
+//! ([`ShardedEstimator`]) or H-Memento
+//! ([`HMemento`](memento_core::HMemento), [`ShardedHhh`]) across worker
+//! threads while answering the *same* window queries through the *same*
+//! object-safe traits. The engine is written once; the small [`Shard`]
+//! trait names what the two kinds of algorithm do differently.
 //!
 //! The paper's headline result is line-rate single-core processing (§5); the
 //! system this reproduction grows toward also has to scale *out* when one
@@ -52,8 +52,8 @@
 //! slots dirtied since the previous epoch, folded onto persistent
 //! [`memento_core::DeltaAssembler`] views, so publication costs O(dirty)
 //! rather than O(k) per shard; unchanged engines re-stamp the previous
-//! snapshot without freezing at all), HHH shards freeze full immutable
-//! [`memento_core::FrozenHhh`] summaries — and each complete epoch is
+//! snapshot without freezing at all), H-Memento shards freeze full
+//! immutable [`memento_core::FrozenHhh`] summaries — and each complete epoch is
 //! assembled into an [`EngineSnapshot`] (or [`HhhEngineSnapshot`]) under
 //! the global-position-window contract, then swapped into an epoch-tagged
 //! double buffer. The
@@ -98,7 +98,7 @@ mod worker;
 
 pub use engine::{Assembler, Engine, Reader, Shard};
 pub use estimator::{BoxedEstimator, ShardedEstimator, SnapshotReader};
-pub use hhh::{BoxedHhh, HhhSnapshotReader, ShardedHhh};
+pub use hhh::{HhhSnapshotReader, ShardedHhh};
 pub use snapshot::{EngineSnapshot, HhhEngineSnapshot, PublishPolicy};
 
 /// Default number of keys buffered per shard before a batch is shipped to

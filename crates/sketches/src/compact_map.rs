@@ -50,6 +50,7 @@
 use std::hash::Hash;
 
 use crate::fasthash::hash_one;
+use crate::journal::{Journal, JournalDrain};
 
 /// Minimum number of slots. Sized to the *widest* probe group (the
 /// 16-lane SSE2 backend), so `ctrl.len()` is always a multiple of every
@@ -295,43 +296,6 @@ pub struct ProbeStats {
     pub max_words_per_probe: usize,
 }
 
-/// Change journal accumulated between two [`CompactMap::drain_journal`]
-/// calls (see [`CompactMap::enable_journal`]). Boxed behind an `Option` so
-/// maps that never snapshot (the shard routers) pay one null check per
-/// write, nothing more.
-#[derive(Debug, Clone)]
-struct MapJournal<K> {
-    /// One bit per slot: the slot's payload changed (insert, value update,
-    /// or an existing entry moved here by backward-shift deletion) since
-    /// the last drain.
-    dirty: Vec<u64>,
-    /// Keys removed since the last drain. A removed key may have been
-    /// re-inserted afterwards; consumers must check the live map.
-    removed: Vec<K>,
-    /// Set when slot identity was invalidated wholesale (`clear`, `grow`):
-    /// per-slot tracking is suspended and the next drain reports a full
-    /// rebuild.
-    all_dirty: bool,
-}
-
-/// The drained contents of a [`CompactMap`] change journal, as returned by
-/// [`CompactMap::drain_journal`]. When `all_dirty` is set the per-slot and
-/// per-key lists are empty and meaningless — the consumer must re-read the
-/// whole map.
-#[derive(Debug)]
-pub struct MapJournalDrain<K> {
-    /// Slot identity was invalidated wholesale (`clear` or a resize) since
-    /// the last drain; rebuild instead of patching.
-    pub all_dirty: bool,
-    /// Slots whose payload changed since the last drain, ascending. A listed
-    /// slot may be empty *now* (its entry was removed or shifted away); read
-    /// the live map via [`CompactMap::slot_entry`].
-    pub dirty_slots: Vec<usize>,
-    /// Keys removed since the last drain (possibly re-inserted later; check
-    /// the live map before treating one as gone).
-    pub removed: Vec<K>,
-}
-
 /// A flat, power-of-two, linear-probing hash map with a separate one-byte
 /// fingerprint array and backward-shift deletion. See the module docs for
 /// the design rationale; see `tests/proptest_compact_map.rs` for the
@@ -349,8 +313,10 @@ pub struct CompactMap<K, V> {
     /// Occupied slot count.
     len: usize,
     /// Change journal for incremental snapshot publication; `None` until
-    /// [`Self::enable_journal`].
-    journal: Option<Box<MapJournal<K>>>,
+    /// [`Self::enable_journal`]. A slot is dirty when its payload changed:
+    /// an insert, a value update, or an entry moved there by
+    /// backward-shift deletion. `clear` and `grow` invalidate it.
+    journal: Option<Box<Journal<K>>>,
 }
 
 impl<K: Eq + Hash, V> Default for CompactMap<K, V> {
@@ -387,18 +353,11 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
     }
 
     /// Starts recording per-slot changes for incremental snapshots
-    /// ([`Self::drain_journal`]). The journal opens in the `all_dirty`
-    /// state so the first drain after enabling always reports a full
-    /// rebuild. Idempotent; maps that never enable the journal pay one
-    /// null check per write.
+    /// ([`Self::drain_journal`]). The first drain after enabling always
+    /// reports a rebuild. Idempotent; maps that never enable the journal
+    /// pay one null check per write.
     pub fn enable_journal(&mut self) {
-        if self.journal.is_none() {
-            self.journal = Some(Box::new(MapJournal {
-                dirty: vec![0; self.ctrl.len().div_ceil(64)],
-                removed: Vec::new(),
-                all_dirty: true,
-            }));
-        }
+        self.journal.get_or_insert_with(|| Box::new(Journal::new()));
     }
 
     /// True once [`Self::enable_journal`] has been called.
@@ -408,60 +367,24 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
 
     /// Takes everything recorded since the previous drain and resets the
     /// journal to clean. Returns `None` when the journal was never enabled.
-    pub fn drain_journal(&mut self) -> Option<MapJournalDrain<K>> {
-        let j = self.journal.as_deref_mut()?;
-        let mut dirty_slots = Vec::new();
-        if !j.all_dirty {
-            for (w, &word) in j.dirty.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    dirty_slots.push(w * 64 + bits.trailing_zeros() as usize);
-                    bits &= bits - 1;
-                }
-            }
-        }
-        let drained = MapJournalDrain {
-            all_dirty: j.all_dirty,
-            dirty_slots,
-            removed: std::mem::take(&mut j.removed),
-        };
-        j.dirty.clear();
-        j.dirty.resize(self.ctrl.len().div_ceil(64), 0);
-        j.all_dirty = false;
-        Some(drained)
+    pub fn drain_journal(&mut self) -> Option<JournalDrain<K>> {
+        let slots = self.ctrl.len();
+        Some(self.journal.as_deref_mut()?.drain(slots))
     }
 
-    /// Records `slot` as changed. No-op without a journal or after a
-    /// wholesale invalidation (the pending rebuild supersedes per-slot
-    /// marks).
+    /// Records `slot` as changed, when journaling.
     #[inline]
     fn journal_mark(&mut self, slot: usize) {
         if let Some(j) = self.journal.as_deref_mut() {
-            if !j.all_dirty {
-                j.dirty[slot / 64] |= 1 << (slot % 64);
-            }
+            j.mark(slot);
         }
     }
 
-    /// Records `key` as removed, consuming the owned key the removal freed
-    /// (no clone on the removal path).
-    #[inline]
-    fn journal_removed(&mut self, key: K) {
-        if let Some(j) = self.journal.as_deref_mut() {
-            if !j.all_dirty {
-                j.removed.push(key);
-            }
-        }
-    }
-
-    /// Suspends per-slot tracking until the next drain: slot identity was
-    /// invalidated wholesale (`clear`, `grow`).
-    #[inline]
+    /// Suspends per-slot tracking until the next drain, when journaling:
+    /// slot identity was invalidated wholesale (`clear`, `grow`).
     fn journal_invalidate(&mut self) {
         if let Some(j) = self.journal.as_deref_mut() {
-            j.all_dirty = true;
-            j.removed.clear();
-            j.dirty.clear();
+            j.invalidate();
         }
     }
 
@@ -801,14 +724,6 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
         self.find(key).map(|i| self.value_at(i))
     }
 
-    /// [`Self::get`] with the caller supplying `hash_one(key)` (see
-    /// [`Self::probe_hashed`]): the batched pipelines hash once at
-    /// prefetch time and reuse the value for the probe.
-    #[inline]
-    pub fn get_hashed(&self, hash: u64, key: &K) -> Option<&V> {
-        self.probe_hashed(hash, key).ok().map(|i| self.value_at(i))
-    }
-
     /// Mutable reference to the value stored for `key`.
     #[inline]
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
@@ -931,7 +846,9 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
         let (removed_key, value) = self.entries[hole].take().expect("occupied slot");
         self.ctrl[hole] = EMPTY;
         self.len -= 1;
-        self.journal_removed(removed_key);
+        if let Some(j) = self.journal.as_deref_mut() {
+            j.depart(removed_key);
+        }
         // Knuth's Algorithm R on a circular table: walk the cluster after
         // the hole; any entry whose home position is cyclically outside
         // (hole, j] would become unreachable through the hole — move it
@@ -1287,26 +1204,26 @@ mod tests {
         m.insert(1, 10);
         m.enable_journal();
         // The first drain after enabling always reports a full rebuild.
-        assert!(m.drain_journal().unwrap().all_dirty);
+        assert!(m.drain_journal().unwrap().rebuild);
         m.insert(2, 20);
         m.insert(1, 11);
         *m.get_or_insert_with(3, || 0) += 5;
         let d = m.drain_journal().unwrap();
-        assert!(!d.all_dirty);
+        assert!(!d.rebuild);
         let keys: std::collections::HashSet<u64> = d
             .dirty_slots
             .iter()
             .map(|&s| *m.slot_entry(s).unwrap().0)
             .collect();
         assert!(keys.contains(&1) && keys.contains(&2) && keys.contains(&3));
-        assert!(d.removed.is_empty());
+        assert!(d.departed.is_empty());
         m.remove(&2);
         let d = m.drain_journal().unwrap();
-        assert_eq!(d.removed, vec![2]);
+        assert_eq!(d.departed, vec![2]);
         m.clear();
-        assert!(m.drain_journal().unwrap().all_dirty, "clear invalidates");
+        assert!(m.drain_journal().unwrap().rebuild, "clear invalidates");
         let d = m.drain_journal().unwrap();
-        assert!(!d.all_dirty && d.dirty_slots.is_empty() && d.removed.is_empty());
+        assert!(!d.rebuild && d.dirty_slots.is_empty() && d.departed.is_empty());
     }
 
     #[test]
@@ -1317,7 +1234,7 @@ mod tests {
         for i in 0..100 {
             m.insert(i, i); // forces several grows past MIN_SLOTS
         }
-        assert!(m.drain_journal().unwrap().all_dirty);
+        assert!(m.drain_journal().unwrap().rebuild);
     }
 
     #[test]
@@ -1339,8 +1256,8 @@ mod tests {
             m.remove(&i);
         }
         let d = m.drain_journal().unwrap();
-        assert!(!d.all_dirty);
-        assert_eq!(d.removed.len(), 19);
+        assert!(!d.rebuild);
+        assert_eq!(d.departed.len(), 19);
         let dirty: std::collections::HashSet<usize> = d.dirty_slots.into_iter().collect();
         for (k, old_slot) in before {
             let new_slot = m.slot_of(&k).unwrap();

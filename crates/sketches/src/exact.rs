@@ -7,7 +7,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 
-use crate::compact_map::{CompactMap, MapJournalDrain};
+use crate::compact_map::CompactMap;
 
 /// Exact interval counter: counts every occurrence since creation or the last
 /// [`ExactInterval::reset`]. This models the paper's "Interval" measurement
@@ -70,9 +70,7 @@ impl<K: Eq + Hash + Clone> ExactInterval<K> {
 /// Exact sliding-window counter over the last `window` *stream positions*.
 ///
 /// Keeps a ring buffer of the position-stamped keys still inside the window
-/// plus a [`CompactMap`] of their counts (the same journaled open-addressing
-/// table as the approximate structures, so incremental snapshots get slot
-/// ranks and dirty tracking for free), so both update and query are O(1)
+/// plus a [`CompactMap`] of their counts, so both update and query are O(1)
 /// (amortized) and memory is O(window) — exactly the cost the paper's
 /// approximate algorithms avoid.
 ///
@@ -108,35 +106,6 @@ impl<K: Eq + Hash + Clone> ExactWindow<K> {
             counts: CompactMap::new(),
             processed: 0,
         }
-    }
-
-    /// Starts recording per-slot count changes for incremental snapshots
-    /// ([`CompactMap::enable_journal`]). Idempotent.
-    pub fn enable_journal(&mut self) {
-        self.counts.enable_journal();
-    }
-
-    /// True once [`Self::enable_journal`] has been called.
-    pub fn journal_enabled(&self) -> bool {
-        self.counts.journal_enabled()
-    }
-
-    /// Takes everything recorded since the previous drain
-    /// ([`CompactMap::drain_journal`]).
-    pub fn drain_journal(&mut self) -> Option<MapJournalDrain<K>> {
-        self.counts.drain_journal()
-    }
-
-    /// Count-table slot holding `key`, if present ([`CompactMap::slot_of`])
-    /// — the tie-breaking rank of the incremental snapshot path.
-    pub fn slot_of(&self, key: &K) -> Option<usize> {
-        self.counts.slot_of(key)
-    }
-
-    /// The `(key, count)` stored in `slot`, if occupied
-    /// ([`CompactMap::slot_entry`]).
-    pub fn slot_entry(&self, slot: usize) -> Option<(&K, u64)> {
-        self.counts.slot_entry(slot).map(|(k, &c)| (k, c))
     }
 
     /// The window size `W`.

@@ -21,6 +21,10 @@
 //!   map with one-byte fingerprints, backing every per-packet lookup
 //!   (the stream-summary key index, Memento's overflow table, the shard
 //!   routers via [`fasthash::route`]).
+//! * [`JournalDrain`] — what the one change journal shared by
+//!   [`CompactMap`] and [`StreamSummary`] recorded between two drains:
+//!   the dirty slots and departed keys Memento's incremental snapshot
+//!   freeze re-reads instead of the whole table.
 //!
 //! [paper]: https://arxiv.org/abs/1810.02899
 
@@ -36,15 +40,17 @@
 pub mod compact_map;
 pub mod exact;
 pub mod fasthash;
+mod journal;
 pub mod overflow_queue;
 pub mod sampling;
 pub mod space_saving;
 pub mod stream_summary;
 
-pub use compact_map::{CompactMap, MapJournalDrain, ProbeStats};
+pub use compact_map::{CompactMap, ProbeStats};
 pub use exact::{ExactInterval, ExactTimedWindow, ExactWindow};
 pub use fasthash::{FastBuildHasher, FastHasher};
+pub use journal::JournalDrain;
 pub use overflow_queue::OverflowQueue;
 pub use sampling::{GeometricSampler, PrefixSampler, Sampler, TableSampler};
 pub use space_saving::{CounterSnapshot, SpaceSaving};
-pub use stream_summary::{StreamSummary, SummaryJournalDrain};
+pub use stream_summary::StreamSummary;

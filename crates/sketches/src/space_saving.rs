@@ -18,6 +18,7 @@
 use std::hash::Hash;
 
 use crate::fasthash::PREFETCH_LOOKAHEAD;
+use crate::journal::JournalDrain;
 use crate::stream_summary::StreamSummary;
 
 /// A snapshot of one Space Saving counter, used for reporting and
@@ -197,7 +198,7 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
 
     /// Takes everything recorded since the previous drain
     /// ([`StreamSummary::drain_journal`]).
-    pub fn drain_journal(&mut self) -> Option<crate::stream_summary::SummaryJournalDrain<K>> {
+    pub fn drain_journal(&mut self) -> Option<JournalDrain<K>> {
         self.summary.drain_journal()
     }
 

@@ -23,6 +23,7 @@ use std::hash::Hash;
 
 use crate::compact_map::CompactMap;
 use crate::fasthash::hash_one;
+use crate::journal::{Journal, JournalDrain};
 
 /// Null sentinel for the intrusive index-based linked lists.
 const NIL: usize = usize::MAX;
@@ -58,41 +59,6 @@ struct Bucket {
     in_use: bool,
 }
 
-/// Change journal accumulated between two [`StreamSummary::drain_journal`]
-/// calls (see [`StreamSummary::enable_journal`]). Boxed behind an `Option`
-/// so summaries that never snapshot pay one null check per count change.
-#[derive(Debug, Clone)]
-struct SummaryJournal<K> {
-    /// One bit per SoA slot: its count, key or error changed since the last
-    /// drain.
-    dirty: Vec<u64>,
-    /// Keys evicted by [`StreamSummary::offer`] since the last drain.
-    /// An evicted key may have been re-inserted afterwards; consumers must
-    /// check the live summary.
-    evicted: Vec<K>,
-    /// Set when [`StreamSummary::clear`] wiped every slot: per-slot tracking
-    /// is suspended and the next drain reports a full rebuild.
-    cleared: bool,
-}
-
-/// The drained contents of a [`StreamSummary`] change journal, as returned
-/// by [`StreamSummary::drain_journal`]. When `cleared` is set the per-slot
-/// and per-key lists are empty and meaningless — the consumer must re-read
-/// the whole summary.
-#[derive(Debug)]
-pub struct SummaryJournalDrain<K> {
-    /// The summary was wholesale cleared since the last drain; rebuild
-    /// instead of patching.
-    pub cleared: bool,
-    /// SoA slots whose count/key/error changed since the last drain,
-    /// ascending. Read the live summary via [`StreamSummary::slot_entry`].
-    pub dirty_slots: Vec<usize>,
-    /// Keys evicted by [`StreamSummary::offer`] since the last drain (possibly
-    /// re-inserted later; check the live summary before treating one as
-    /// gone).
-    pub evicted: Vec<K>,
-}
-
 /// An O(1) stream-summary: the union of counter slots, count-ordered buckets
 /// and a key index.
 ///
@@ -112,8 +78,9 @@ pub struct StreamSummary<K: Eq + Hash + Clone> {
     index: CompactMap<K, usize>,
     capacity: usize,
     /// Change journal for incremental snapshot publication; `None` until
-    /// [`Self::enable_journal`].
-    journal: Option<Box<SummaryJournal<K>>>,
+    /// [`Self::enable_journal`]. A slot is dirty when its count, key or
+    /// error changed; evicted keys depart; `clear` invalidates it.
+    journal: Option<Box<Journal<K>>>,
 }
 
 impl<K: Eq + Hash + Clone> StreamSummary<K> {
@@ -139,18 +106,10 @@ impl<K: Eq + Hash + Clone> StreamSummary<K> {
     }
 
     /// Starts recording per-slot changes for incremental snapshots
-    /// ([`Self::drain_journal`]). The journal opens in the `cleared` state
-    /// so the first drain after enabling always reports a full rebuild.
-    /// Idempotent. The dirty bitset is sized once — the slot population is
-    /// bounded by `capacity` — so a mark is a single word OR.
+    /// ([`Self::drain_journal`]). The first drain after enabling always
+    /// reports a rebuild. Idempotent.
     pub fn enable_journal(&mut self) {
-        if self.journal.is_none() {
-            self.journal = Some(Box::new(SummaryJournal {
-                dirty: vec![0; self.capacity.div_ceil(64)],
-                evicted: Vec::new(),
-                cleared: true,
-            }));
-        }
+        self.journal.get_or_insert_with(|| Box::new(Journal::new()));
     }
 
     /// True once [`Self::enable_journal`] has been called.
@@ -160,37 +119,11 @@ impl<K: Eq + Hash + Clone> StreamSummary<K> {
 
     /// Takes everything recorded since the previous drain and resets the
     /// journal to clean. Returns `None` when the journal was never enabled.
-    pub fn drain_journal(&mut self) -> Option<SummaryJournalDrain<K>> {
-        let j = self.journal.as_deref_mut()?;
-        let mut dirty_slots = Vec::new();
-        if !j.cleared {
-            for (w, &word) in j.dirty.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    dirty_slots.push(w * 64 + bits.trailing_zeros() as usize);
-                    bits &= bits - 1;
-                }
-            }
-        }
-        let drained = SummaryJournalDrain {
-            cleared: j.cleared,
-            dirty_slots,
-            evicted: std::mem::take(&mut j.evicted),
-        };
-        j.dirty.fill(0);
-        j.cleared = false;
-        Some(drained)
-    }
-
-    /// Records `slot` as changed. No-op without a journal or after a
-    /// wholesale clear (the pending rebuild supersedes per-slot marks).
-    #[inline]
-    fn journal_mark(&mut self, slot: usize) {
-        if let Some(j) = self.journal.as_deref_mut() {
-            if !j.cleared {
-                j.dirty[slot / 64] |= 1 << (slot % 64);
-            }
-        }
+    /// The slot population is bounded by `capacity`, so the dirty bitset
+    /// never resizes and a mark is a single word OR.
+    pub fn drain_journal(&mut self) -> Option<JournalDrain<K>> {
+        let slots = self.capacity;
+        Some(self.journal.as_deref_mut()?.drain(slots))
     }
 
     /// SoA slot holding `key`, if monitored — the stable per-summary
@@ -340,9 +273,7 @@ impl<K: Eq + Hash + Clone> StreamSummary<K> {
             error: self.hot[slot].count,
         };
         if let Some(j) = self.journal.as_deref_mut() {
-            if !j.cleared {
-                j.evicted.push(evicted.clone());
-            }
+            j.depart(evicted.clone());
         }
         (self.increment_slot(slot), Some(evicted))
     }
@@ -356,9 +287,7 @@ impl<K: Eq + Hash + Clone> StreamSummary<K> {
         self.min_bucket = NIL;
         self.index.clear();
         if let Some(j) = self.journal.as_deref_mut() {
-            j.cleared = true;
-            j.evicted.clear();
-            j.dirty.fill(0);
+            j.invalidate();
         }
     }
 
@@ -452,7 +381,9 @@ impl<K: Eq + Hash + Clone> StreamSummary<K> {
         // Every observable slot mutation funnels through here (both miss
         // branches of `offer_hashed` end in an increment), so one mark
         // covers count, key and error changes alike.
-        self.journal_mark(slot);
+        if let Some(j) = self.journal.as_deref_mut() {
+            j.mark(slot);
+        }
 
         // Locate the destination bucket: it is either the bucket right after
         // the current one (if its count matches) or a freshly created bucket
@@ -663,13 +594,13 @@ mod tests {
         let mut s = StreamSummary::new(2);
         assert!(s.drain_journal().is_none(), "journal off by default");
         s.enable_journal();
-        assert!(s.drain_journal().unwrap().cleared, "first drain rebuilds");
+        assert!(s.drain_journal().unwrap().rebuild, "first drain rebuilds");
         s.offer("a");
         s.offer("b");
         let d = s.drain_journal().unwrap();
-        assert!(!d.cleared);
+        assert!(!d.rebuild);
         assert_eq!(d.dirty_slots, vec![0, 1]);
-        assert!(d.evicted.is_empty());
+        assert!(d.departed.is_empty());
         // Increment only "a": only its slot is dirty.
         s.offer("a");
         let d = s.drain_journal().unwrap();
@@ -683,14 +614,14 @@ mod tests {
         let (_, evicted) = s.offer("c");
         assert_eq!(evicted, Some("b"));
         let d = s.drain_journal().unwrap();
-        assert_eq!(d.evicted, vec!["b"]);
+        assert_eq!(d.departed, vec!["b"]);
         assert_eq!(d.dirty_slots, vec![s.slot_of(&"c").unwrap()]);
         assert_eq!(s.slot_entry(s.slot_of(&"c").unwrap()).unwrap().0, &"c");
         // clear() suspends per-slot tracking until the rebuild drain.
         s.clear();
         s.offer("d");
         let d = s.drain_journal().unwrap();
-        assert!(d.cleared && d.dirty_slots.is_empty() && d.evicted.is_empty());
+        assert!(d.rebuild && d.dirty_slots.is_empty() && d.departed.is_empty());
     }
 
     #[test]

@@ -316,19 +316,36 @@ impl<K: Eq + Hash + Clone> Memento<K> {
 
     /// The per-packet update: a Full update with probability τ, otherwise a
     /// Window update (Algorithm 1, `UPDATE`).
+    ///
+    /// # Panics
+    /// Panics if the stream position is already `u64::MAX`, before the
+    /// coin is drawn.
     #[inline]
     pub fn update(&mut self, key: K) {
+        self.assert_room(1, "update");
         if self.sampler.sample() {
-            self.full_update(key);
+            self.full_update_hashed(key, None);
         } else {
-            self.window_update();
+            self.window_step();
         }
     }
 
     /// The lightweight *Window update* (Algorithm 1, `WINDOWUPDATE`):
     /// advances the window without recording the packet.
+    ///
+    /// # Panics
+    /// Panics if the stream position is already `u64::MAX`, before any
+    /// state changes.
     #[inline]
     pub fn window_update(&mut self) {
+        self.assert_room(1, "window_update");
+        self.window_step();
+    }
+
+    /// [`Self::window_update`] without its position check, for callers
+    /// that checked their span up front.
+    #[inline]
+    fn window_step(&mut self) {
         self.processed += 1;
         self.m += 1;
         self.m_in_block += 1;
@@ -361,19 +378,25 @@ impl<K: Eq + Hash + Clone> Memento<K> {
 
     /// The expensive *Full update* (Algorithm 1, `FULLUPDATE`): a Window
     /// update plus the actual insertion of the packet into the summary.
+    ///
+    /// # Panics
+    /// Panics if the stream position is already `u64::MAX`, before any
+    /// state changes.
     #[inline]
     pub fn full_update(&mut self, key: K) {
+        self.assert_room(1, "full_update");
         self.full_update_hashed(key, None);
     }
 
-    /// [`Self::full_update`] with an optionally precomputed
-    /// [`memento_sketches::fasthash::hash_one`] value for `key`: the
-    /// batched pipelines hash each key once when issuing its prefetch and
-    /// pass the value here, so the summary's monitored-key probe (the
-    /// common case) does not hash again.
+    /// [`Self::full_update`] without its position check, with an
+    /// optionally precomputed [`memento_sketches::fasthash::hash_one`]
+    /// value for `key`: the batched pipelines check their span up front,
+    /// hash each key once when issuing its prefetch and pass the value
+    /// here, so the summary's monitored-key probe (the common case) does
+    /// not hash again.
     #[inline]
     fn full_update_hashed(&mut self, key: K, hash: Option<u64>) {
-        self.window_update();
+        self.window_step();
         self.record_hashed(key, hash);
     }
 
@@ -1631,6 +1654,38 @@ mod tests {
                 memento.estimate(&7).to_bits(),
                 untouched.estimate(&7).to_bits()
             );
+        }
+    }
+
+    /// Every per-packet entry point refuses to carry the stream position
+    /// past `u64::MAX`, naming itself, before any state changes: the
+    /// position stays put and `update` draws no coin, at τ < 1 and τ = 1.
+    #[test]
+    fn per_packet_updates_at_u64_max_panic_before_any_state_change() {
+        type EntryPoint = (&'static str, fn(&mut Memento<u64>));
+        let entries: [EntryPoint; 3] = [
+            ("update", |m| m.update(3)),
+            ("window_update", |m| m.window_update()),
+            ("full_update", |m| m.full_update(3)),
+        ];
+        for tau in [0.25, 1.0] {
+            for (name, entry) in entries {
+                let mut memento = Memento::<u64>::new(8, 100, tau, 1);
+                memento.skip(u64::MAX);
+                let mut untouched = memento.clone();
+                let payload = catch_unwind(AssertUnwindSafe(|| entry(&mut memento)))
+                    .expect_err("a step past u64::MAX must panic");
+                assert_eq!(
+                    payload.downcast_ref::<String>().map(String::as_str),
+                    Some(format!("{name}: the stream position overflows u64").as_str()),
+                    "τ = {tau}"
+                );
+                assert_eq!(memento.processed(), u64::MAX, "{name}, τ = {tau}");
+                assert_eq!(memento.full_updates(), 0, "{name}, τ = {tau}");
+                for _ in 0..8 {
+                    assert_eq!(memento.sampler.next_u32(), untouched.sampler.next_u32());
+                }
+            }
         }
     }
 

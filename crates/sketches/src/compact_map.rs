@@ -43,9 +43,11 @@
 //!   table into a tombstone field that each probe must wade through.
 //!
 //! The map resizes at 7/8 load; [`CompactMap::with_capacity`] pre-sizes the
-//! table so the requested number of keys fits without ever resizing (what
-//! the stream-summary index wants: its population is bounded by
-//! construction).
+//! table so the requested number of keys fits without ever resizing. The
+//! stream-summary index, whose population is bounded by construction, is
+//! sized apart from that cap (`with_slots`): at most a quarter full,
+//! because every Space-Saving eviction pays a miss walk and a removal
+//! shift whose lengths grow with load.
 
 use std::hash::Hash;
 
@@ -69,11 +71,12 @@ const WORD: usize = 8;
 /// Probe-order slots the scalar fast head of
 /// [`CompactMap::probe_grouped`] covers before the grouped scan takes
 /// over. Below [`MIN_SLOTS`] (so the head never laps the table) and
-/// sized to the probe lengths the 7/8 load cap makes overwhelmingly
-/// common: at the summary index's ~1/2 operating load the mean probe for
-/// a present key is ~1.5 slots, so nearly every probe resolves inside
-/// the head at byte-loop cost and only displaced clusters pay the group
-/// machinery's fixed setup.
+/// sized to the probe lengths of the per-packet tables: in the
+/// stream-summary index, at most a quarter full, a miss walks ~1.4 slots
+/// and a hit ~1.1, and 99.4% of the probes a backbone trace makes end
+/// inside the head (counts in crates/bench/EXPERIMENTS.md), so nearly
+/// every probe resolves at byte-loop cost and only displaced clusters pay
+/// the group machinery's fixed setup.
 const SCALAR_HEAD: usize = 4;
 
 /// Every byte's low bit: the subtrahend of the zero-byte trick and the
@@ -335,12 +338,15 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
     /// (table sized so `capacity` stays within the 7/8 load limit).
     pub fn with_capacity(capacity: usize) -> Self {
         // slots * 7/8 >= capacity  ⇒  slots >= ceil(8c / 7).
-        let needed = capacity.saturating_mul(8).div_ceil(7).max(MIN_SLOTS);
-        Self::with_slots(needed.next_power_of_two())
+        Self::with_slots(capacity.saturating_mul(8).div_ceil(7))
     }
 
-    fn with_slots(slots: usize) -> Self {
-        debug_assert!(slots.is_power_of_two());
+    /// Creates a map with at least `slots` slots: the next power of two,
+    /// never below [`MIN_SLOTS`]. For tables whose population is bounded
+    /// by construction and should run well below the 7/8 cap that
+    /// [`Self::with_capacity`] packs to (the stream-summary index).
+    pub(crate) fn with_slots(slots: usize) -> Self {
+        let slots = slots.max(MIN_SLOTS).next_power_of_two();
         let mut entries = Vec::new();
         entries.resize_with(slots, || None);
         CompactMap {
@@ -403,6 +409,11 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
         self.max_load()
     }
 
+    /// Number of slots in the table.
+    pub(crate) fn slots(&self) -> usize {
+        self.ctrl.len()
+    }
+
     /// The 7/8-of-slots load limit.
     fn max_load(&self) -> usize {
         let slots = self.ctrl.len();
@@ -433,11 +444,12 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
     /// [`SCALAR_HEAD`] probe-order slots, one control byte at a time,
     /// bit-identical to [`Self::probe_reference`] over those slots —
     /// below the 7/8 load cap, the overwhelming majority of probes end
-    /// there (at the summary index's ~1/2 operating load, ~97% inside
-    /// two slots), and for a 1–2-slot probe a predicted byte compare
-    /// beats any group machinery's fixed setup. Probes that survive the
-    /// head — long displaced clusters, the regime backward-shift churn
-    /// and high load produce — continue in the `#[cold]` tier-2 loop
+    /// there (in the stream-summary index, at most a quarter full, ~96%
+    /// of a backbone trace's probes end inside two slots), and for a
+    /// 1–2-slot probe a predicted byte compare beats any group
+    /// machinery's fixed setup. Probes that survive the head — long
+    /// displaced clusters, the regime backward-shift churn and high load
+    /// produce — continue in the `#[cold]` tier-2 loop
     /// ([`Self::probe_spill`]): group-at-a-time, 16 control bytes per
     /// SSE2 `cmpeq`/`movemask` on x86_64, 8 per SWAR word elsewhere,
     /// first group masked to the lanes at or past the head's end.
@@ -502,26 +514,27 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
         fp: u8,
         key: &K,
     ) -> Result<usize, (usize, u8)> {
-        // Scalar fast head: `with_capacity`'s 7/8 load cap sizes the
-        // per-packet tables so probes are short — at the summary index's
-        // actual ~1/2 operating load the mean probe length for present
-        // keys is ~1.5 slots — and a byte compare per slot settles those
-        // without the group-load/movemask machinery, whose fixed setup
-        // cost a 1–2 slot probe never amortizes. The head is
-        // bit-identical to `probe_reference` over the slots it covers
-        // (same order, same hit/empty outcomes); only probes that
-        // survive `SCALAR_HEAD` slots — displaced clusters — fall
-        // through to the grouped scan, which resumes at the first
-        // uncovered slot and earns its width there.
-        // The home slot is peeled out of the loop so the ~90%-of-probes
-        // case runs straight-line — one fingerprint compare, no loop
-        // bookkeeping at all. The loop over the remaining head slots
-        // computes its end through the runtime mask so its trip count
-        // stays opaque to the optimizer: rolled, the loop has a single
-        // key-hit site, and LLVM fuses the caller's entry access
-        // (`slot_value`, `get`'s value load) straight into it — unrolled,
-        // the hit sites all join in one block that re-checks the entry
-        // and costs the fast path a measurable couple of cycles.
+        // Scalar fast head: the per-packet tables run well below the 7/8
+        // load cap, so probes are short — in the stream-summary index,
+        // at most a quarter full, a miss walks ~1.4 slots and a hit
+        // ~1.1 — and a byte compare per slot settles those without the
+        // group-load/movemask machinery, whose fixed setup cost a 1–2
+        // slot probe never amortizes. The head is bit-identical to
+        // `probe_reference` over the slots it covers (same order, same
+        // hit/empty outcomes); only probes that survive `SCALAR_HEAD`
+        // slots — displaced clusters — fall through to the grouped scan,
+        // which resumes at the first uncovered slot and earns its width
+        // there.
+        // The home slot is peeled out of the loop so the commonest case
+        // (85–95% of the summary index's probes) runs straight-line —
+        // one fingerprint compare, no loop bookkeeping at all. The loop
+        // over the remaining head slots computes its end through the
+        // runtime mask so its trip count stays opaque to the optimizer:
+        // rolled, the loop has a single key-hit site, and LLVM fuses the
+        // caller's entry access (`slot_value`, `get`'s value load)
+        // straight into it — unrolled, the hit sites all join in one
+        // block that re-checks the entry and costs the fast path a
+        // measurable couple of cycles.
         let c = self.ctrl[home];
         if c == fp {
             if let Some((k, _)) = &self.entries[home] {
@@ -772,27 +785,14 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
     /// returns the slot taken. At the 7/8 load cap the table grows first
     /// and the key takes its first empty slot in the new table instead.
     #[inline]
-    pub(crate) fn insert_at_miss(&mut self, (slot, fp): (usize, u8), key: K, value: V) -> usize {
-        if self.len + 1 > self.max_load() {
-            return self.insert_absent_hashed(hash_one(&key), key, value);
-        }
-        self.occupy(slot, fp, key, value);
-        slot
-    }
-
-    /// Inserts an absent `key → value`, where `hash` is `hash_one(&key)`,
-    /// at the first empty slot of its probe sequence — one empty-lane
-    /// scan, no key compare — growing first at the 7/8 load cap, and
-    /// returns the slot taken. For callers whose last probe of `key` is
-    /// stale: a removal since then may have emptied a slot earlier on
-    /// `key`'s path than that probe's miss, and the key must go there to
-    /// stay reachable.
-    pub(crate) fn insert_absent_hashed(&mut self, hash: u64, key: K, value: V) -> usize {
-        if self.len + 1 > self.max_load() {
+    pub(crate) fn insert_at_miss(&mut self, miss: (usize, u8), key: K, value: V) -> usize {
+        let (slot, fp) = if self.len + 1 > self.max_load() {
             self.grow();
-        }
-        let (home, fp) = self.decompose(hash);
-        let slot = self.first_empty_from(home);
+            let (home, fp) = self.decompose(hash_one(&key));
+            (self.first_empty_from(home), fp)
+        } else {
+            miss
+        };
         self.occupy(slot, fp, key, value);
         slot
     }

@@ -241,8 +241,12 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
     /// Footprint in bytes by the paper's per-counter accounting: each of
     /// the `k` counters costs its key plus four 64-bit words (count, error
     /// term and bucket-list links), plus this struct once. The key index
-    /// and the bucket nodes are not counted. Used by the workspace's
-    /// `space_bytes` accounting to compare algorithm memory at equal error.
+    /// and the bucket nodes are not counted. The index is the larger of
+    /// the two: it is at most a quarter full, so each counter has at least
+    /// 4 index slots of one control byte plus an `Option<(K, usize)>` —
+    /// 4 × 25 B for `u64` keys, 400 KiB at k = 4096. Used by the
+    /// workspace's `space_bytes` accounting to compare algorithm memory at
+    /// equal error.
     pub fn space_bytes(&self) -> usize {
         self.summary.capacity() * (std::mem::size_of::<K>() + 4 * std::mem::size_of::<u64>())
             + std::mem::size_of::<Self>()

@@ -18,6 +18,21 @@
 //! ([`crate::fasthash`]) rather than a SipHash `HashMap`, and one
 //! Space-Saving step ([`StreamSummary::offer`]) probes it once, whichever
 //! way the step goes.
+//!
+//! The index is sized for the `capacity` keys it can ever hold, at most a
+//! quarter full: the smallest power of two ≥ 4 × `capacity` slots, never
+//! below 16. It is not packed to the 7/8 cap of maps that grow
+//! ([`CompactMap::with_capacity`], which leaves it 7/16 to 7/8 full),
+//! because on a full summary most steps can be evictions, and each one
+//! pays a miss walk for the new key and a removal shift for the old one,
+//! both growing with load. On backbone keys at `capacity` 4096 a miss
+//! walks 1.39 slots at a quarter load against 2.54 at a half. An
+//! eviction inserts the new key before it removes the old one (see
+//! [`StreamSummary::offer_hashed`]). The price is memory the paper's
+//! per-counter accounting ([`crate::SpaceSaving::space_bytes`]) leaves
+//! out: 4 to 8 index slots per counter, each a control byte plus an
+//! `Option<(K, usize)>` — 400 KiB for 4096 `u64` keys — and a
+//! [`StreamSummary::clear`] that empties every slot.
 
 use std::hash::Hash;
 
@@ -27,6 +42,10 @@ use crate::journal::{Journal, JournalDrain};
 
 /// Null sentinel for the intrusive index-based linked lists.
 const NIL: usize = usize::MAX;
+
+/// Key-index slots reserved per counter (before the power-of-two round
+/// up): the index is at most a quarter full.
+const INDEX_SLOTS_PER_KEY: usize = 4;
 
 /// The per-slot fields an increment touches (the hot array of the SoA
 /// split): current count, owning bucket, and the neighbour links of the
@@ -97,9 +116,10 @@ impl<K: Eq + Hash + Clone> StreamSummary<K> {
             buckets: Vec::with_capacity(capacity + 1),
             free_buckets: Vec::new(),
             min_bucket: NIL,
-            // The index can never hold more than `capacity` keys — one per
-            // slot — so size it exactly (a seed-era version reserved 2×).
-            index: CompactMap::with_capacity(capacity),
+            // The index never holds more than `capacity` keys at rest, so
+            // it never grows; sizing it for a quarter-full table keeps the
+            // miss walks and the eviction's removal shift short.
+            index: CompactMap::with_slots(capacity.saturating_mul(INDEX_SLOTS_PER_KEY)),
             capacity,
             journal: None,
         }
@@ -233,12 +253,15 @@ impl<K: Eq + Hash + Clone> StreamSummary<K> {
     ///   index since the probe, so that slot is still where a lookup of
     ///   the key will stop;
     /// * **eviction** — move the evicted key out of its cold slot (no
-    ///   clone), remove it from the index (one hash and probe of the
-    ///   evicted key), and install the new key by one first-empty scan
-    ///   from `hash`. The scan cannot reuse the first probe's miss slot:
-    ///   the removal's backward shift may have emptied a slot earlier on
-    ///   the new key's probe path, and a key placed past that empty slot
-    ///   is unreachable.
+    ///   clone), write the new key into the probe's miss slot, then
+    ///   remove the evicted key from the index (one hash and probe of it,
+    ///   and the backward shift). The insert goes first because nothing
+    ///   has touched the index since the probe, so the miss slot is still
+    ///   the new key's first empty slot; after a removal it may not be,
+    ///   since the shift can empty a slot earlier on the new key's path.
+    ///   The shift keeps every key reachable, the new one included.
+    ///   Between the two calls the index holds `capacity + 1` keys, far
+    ///   below its growth cap at a quarter-full table.
     ///
     /// Passing anything but `key`'s own `hash_one` value breaks the index.
     pub fn offer_hashed(&mut self, key: K, hash: u64) -> (u64, Option<K>) {
@@ -266,8 +289,8 @@ impl<K: Eq + Hash + Clone> StreamSummary<K> {
             .key
             .take()
             .expect("occupied slot must hold a key");
+        self.index.insert_at_miss(miss, key.clone(), slot);
         self.index.remove(&evicted);
-        self.index.insert_absent_hashed(hash, key.clone(), slot);
         self.cold[slot] = SlotCold {
             key: Some(key),
             error: self.hot[slot].count,
@@ -450,6 +473,13 @@ impl<K: Eq + Hash + Clone> StreamSummary<K> {
             self.index.len(),
             self.cold.iter().filter(|s| s.key.is_some()).count()
         );
+        // At rest the index is at most a quarter full.
+        assert!(
+            self.index.len() * INDEX_SLOTS_PER_KEY <= self.index.slots(),
+            "{} keys in a {}-slot index",
+            self.index.len(),
+            self.index.slots()
+        );
         // Bucket list is strictly increasing and every child belongs to it.
         let mut seen_slots = 0usize;
         let mut b = self.min_bucket;
@@ -622,6 +652,29 @@ mod tests {
         s.offer("d");
         let d = s.drain_journal().unwrap();
         assert!(d.rebuild && d.dirty_slots.is_empty() && d.departed.is_empty());
+    }
+
+    #[test]
+    fn index_is_at_most_a_quarter_full() {
+        for capacity in [1usize, 3, 4, 5, 4095, 4096, 4097, 7168] {
+            let mut s = StreamSummary::new(capacity);
+            // Fill every counter, then evict through a second key range.
+            for key in 0..2 * capacity as u64 {
+                s.offer(key);
+            }
+            assert_eq!(s.len(), capacity);
+            s.check_invariants();
+        }
+    }
+
+    #[test]
+    fn index_real_bytes_at_4096_counters() {
+        // The quarter-load sizing's memory price: 16,384 slots of one
+        // control byte and one `Option<(u64, usize)>` each, twice what the
+        // 7/8-capped `CompactMap::with_capacity(4096)` would take.
+        let s = StreamSummary::<u64>::new(4096);
+        assert_eq!(s.index.slots(), 16_384);
+        assert_eq!(s.index.heap_bytes(), 409_600);
     }
 
     #[test]

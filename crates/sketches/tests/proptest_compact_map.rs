@@ -101,8 +101,18 @@ fn assert_probes_agree(map: &CompactMap<u64, u32>, key: u64, context: &str) {
     );
 }
 
+/// Case count, honoring the nightly deep fuzz's `PROPTEST_CASES` (the
+/// vendored proptest stand-in has no built-in env support, so the suite
+/// reads it directly; the PR-gating default stays at 96).
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(96)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// Mixed op mix over a small key universe (dense collisions in the
     /// 8-slot starting table, growth, overwrite).

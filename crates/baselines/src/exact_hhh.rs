@@ -8,7 +8,7 @@
 
 use std::hash::Hash;
 
-use memento_core::traits::{HhhAlgorithm, HhhQuery};
+use memento_core::traits::{HhhAlgorithm, HhhQuery, Ingest};
 use memento_hierarchy::{compute_hhh, HhhParams, Hierarchy, PrefixEstimator};
 use memento_sketches::ExactWindow;
 
@@ -135,7 +135,7 @@ where
     }
 }
 
-impl<Hi: Hierarchy> HhhAlgorithm<Hi> for ExactWindowHhh<Hi>
+impl<Hi: Hierarchy> Ingest<Hi::Item> for ExactWindowHhh<Hi>
 where
     Hi::Prefix: Hash,
 {
@@ -149,7 +149,12 @@ where
     fn skip(&mut self, n: u64) {
         ExactWindowHhh::skip(self, n);
     }
+}
 
+impl<Hi: Hierarchy> HhhAlgorithm<Hi> for ExactWindowHhh<Hi>
+where
+    Hi::Prefix: Hash,
+{
     fn space_bytes(&self) -> usize {
         ExactWindowHhh::space_bytes(self)
     }

@@ -10,7 +10,7 @@
 
 use std::hash::Hash;
 
-use memento_core::traits::{HhhAlgorithm, HhhQuery};
+use memento_core::traits::{HhhAlgorithm, HhhQuery, Ingest};
 use memento_hierarchy::{compute_hhh, HhhParams, Hierarchy, PrefixEstimator};
 use memento_sketches::SpaceSaving;
 
@@ -158,7 +158,7 @@ where
     }
 }
 
-impl<Hi: Hierarchy> HhhAlgorithm<Hi> for Mst<Hi>
+impl<Hi: Hierarchy> Ingest<Hi::Item> for Mst<Hi>
 where
     Hi::Prefix: Hash,
 {
@@ -172,10 +172,6 @@ where
     /// elsewhere are simply outside its interval.
     fn skip(&mut self, _n: u64) {}
 
-    fn space_bytes(&self) -> usize {
-        Mst::space_bytes(self)
-    }
-
     fn is_interval(&self) -> bool {
         true
     }
@@ -183,12 +179,14 @@ where
     fn reset_interval(&mut self) {
         self.reset();
     }
+}
 
-    /// Interval semantics opt out: `skip` is a no-op here, so an MST
-    /// instance cannot anchor a partition's window at the global stream
-    /// position and the sharded-window engines refuse it at construction.
-    fn mergeable(&self) -> bool {
-        false
+impl<Hi: Hierarchy> HhhAlgorithm<Hi> for Mst<Hi>
+where
+    Hi::Prefix: Hash,
+{
+    fn space_bytes(&self) -> usize {
+        Mst::space_bytes(self)
     }
 }
 

@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use memento_core::analysis::z_value;
-use memento_core::traits::{HhhAlgorithm, HhhQuery};
+use memento_core::traits::{HhhAlgorithm, HhhQuery, Ingest};
 use memento_hierarchy::{compute_hhh, HhhParams, Hierarchy, PrefixEstimator};
 use memento_sketches::{GeometricSampler, Sampler, SpaceSaving};
 
@@ -201,7 +201,7 @@ where
     }
 }
 
-impl<Hi: Hierarchy> HhhAlgorithm<Hi> for Rhhh<Hi>
+impl<Hi: Hierarchy> Ingest<Hi::Item> for Rhhh<Hi>
 where
     Hi::Prefix: Hash,
 {
@@ -215,10 +215,6 @@ where
     /// observed elsewhere are simply outside its interval.
     fn skip(&mut self, _n: u64) {}
 
-    fn space_bytes(&self) -> usize {
-        Rhhh::space_bytes(self)
-    }
-
     fn is_interval(&self) -> bool {
         true
     }
@@ -226,12 +222,14 @@ where
     fn reset_interval(&mut self) {
         self.reset();
     }
+}
 
-    /// Interval semantics opt out: `skip` is a no-op here, so an RHHH
-    /// instance cannot anchor a partition's window at the global stream
-    /// position and the sharded-window engines refuse it at construction.
-    fn mergeable(&self) -> bool {
-        false
+impl<Hi: Hierarchy> HhhAlgorithm<Hi> for Rhhh<Hi>
+where
+    Hi::Prefix: Hash,
+{
+    fn space_bytes(&self) -> usize {
+        Rhhh::space_bytes(self)
     }
 }
 

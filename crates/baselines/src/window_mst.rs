@@ -9,7 +9,7 @@
 
 use std::hash::Hash;
 
-use memento_core::traits::{HhhAlgorithm, HhhQuery};
+use memento_core::traits::{HhhAlgorithm, HhhQuery, Ingest};
 use memento_core::Wcss;
 use memento_hierarchy::{compute_hhh, HhhParams, Hierarchy, PrefixEstimator};
 
@@ -163,7 +163,7 @@ where
     }
 }
 
-impl<Hi: Hierarchy> HhhAlgorithm<Hi> for WindowMst<Hi>
+impl<Hi: Hierarchy> Ingest<Hi::Item> for WindowMst<Hi>
 where
     Hi::Prefix: Hash,
 {
@@ -177,7 +177,12 @@ where
     fn skip(&mut self, n: u64) {
         WindowMst::skip(self, n);
     }
+}
 
+impl<Hi: Hierarchy> HhhAlgorithm<Hi> for WindowMst<Hi>
+where
+    Hi::Prefix: Hash,
+{
     fn space_bytes(&self) -> usize {
         WindowMst::space_bytes(self)
     }

@@ -2,7 +2,7 @@
 //! sampling probability τ, for 64/512/4096 counters, on the three traces.
 //!
 //! WCSS corresponds to the τ = 1 column. Every algorithm runs behind the
-//! generic [`measure_estimator_mpps`] driver; the batched column shows the
+//! generic [`measure_update_mpps`] driver; the batched column shows the
 //! geometric-skip `update_batch` fast path on the same instance
 //! configuration. Output: CSV of million packets per second per
 //! (trace, counters, τ, path).
@@ -12,7 +12,7 @@
 //! ```
 
 use memento_bench::{
-    csv_header, csv_row, make_trace, measure_estimator_batch_mpps, measure_estimator_mpps, scaled,
+    csv_header, csv_row, make_trace, measure_estimator_batch_mpps, measure_update_mpps, scaled,
     tau_sweep, COUNTER_SWEEP,
 };
 use memento_core::Memento;
@@ -34,7 +34,7 @@ fn main() {
         for &counters in &COUNTER_SWEEP {
             for (i, &tau) in tau_sweep().iter().enumerate() {
                 let mut memento: Memento<u64> = Memento::new(counters, window, tau, 5);
-                let mpps = measure_estimator_mpps(&mut memento, &flows);
+                let mpps = measure_update_mpps(&mut memento, &flows);
                 csv_row(&[
                     preset.name.to_string(),
                     counters.to_string(),

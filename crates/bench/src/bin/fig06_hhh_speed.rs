@@ -2,7 +2,7 @@
 //! heavy-hitter update speed on sliding windows, 1D (H=5) and 2D (H=25),
 //! on the backbone trace (the paper notes the other traces behave alike).
 //!
-//! Both algorithms run behind the generic [`measure_hhh_mpps`] driver —
+//! Both algorithms run behind the generic [`measure_update_mpps`] driver —
 //! the harness neither knows nor cares which algorithm it drives. Output:
 //! CSV of million packets per second per (dimension, counters, algorithm,
 //! τ). The Baseline has no τ (it always performs H Full updates).
@@ -12,7 +12,7 @@
 //! ```
 
 use memento_baselines::WindowMst;
-use memento_bench::{csv_header, csv_row, make_trace, measure_hhh_mpps, scaled, COUNTER_SWEEP};
+use memento_bench::{csv_header, csv_row, make_trace, measure_update_mpps, scaled, COUNTER_SWEEP};
 use memento_core::traits::HhhAlgorithm;
 use memento_core::HMemento;
 use memento_hierarchy::{Hierarchy, SrcDstHierarchy, SrcHierarchy};
@@ -25,7 +25,7 @@ fn report<Hi: Hierarchy>(
     alg: &mut dyn HhhAlgorithm<Hi>,
     items: &[Hi::Item],
 ) {
-    let mpps = measure_hhh_mpps(alg, items);
+    let mpps = measure_update_mpps(alg, items);
     csv_row(&[
         dim.to_string(),
         counters_label.to_string(),

@@ -1,7 +1,7 @@
 //! Figure 7 — H-Memento (sliding window) vs RHHH (interval) update speed on
 //! the backbone trace, 1D (H=5) and 2D (H=25).
 //!
-//! Both algorithms run behind the generic [`measure_hhh_mpps`] driver.
+//! Both algorithms run behind the generic [`measure_update_mpps`] driver.
 //! Output: CSV of million packets per second per (dimension, algorithm, τ).
 //!
 //! ```text
@@ -9,7 +9,7 @@
 //! ```
 
 use memento_baselines::Rhhh;
-use memento_bench::{csv_header, csv_row, make_trace, measure_hhh_mpps, scaled};
+use memento_bench::{csv_header, csv_row, make_trace, measure_update_mpps, scaled};
 use memento_core::traits::HhhAlgorithm;
 use memento_core::HMemento;
 use memento_hierarchy::{Hierarchy, SrcDstHierarchy, SrcHierarchy};
@@ -36,7 +36,7 @@ fn run_dim<Hi: Hierarchy + 'static>(
         let mut rhhh = Rhhh::new(hier.clone(), counters_per_level, tau, 0.01, 3);
         let contenders: [&mut dyn HhhAlgorithm<Hi>; 2] = [&mut hm, &mut rhhh];
         for alg in contenders {
-            let mpps = measure_hhh_mpps(alg, &items);
+            let mpps = measure_update_mpps(alg, &items);
             csv_row(&[
                 dim.to_string(),
                 alg.name().to_string(),

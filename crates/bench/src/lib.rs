@@ -21,7 +21,7 @@ use std::hash::Hash;
 use std::time::Instant;
 
 use memento_baselines::ExactWindowHhh;
-use memento_core::traits::{HhhAlgorithm, SlidingWindowEstimator};
+use memento_core::traits::{HhhAlgorithm, Ingest, SlidingWindowEstimator};
 use memento_core::TimedWindow;
 use memento_hierarchy::Hierarchy;
 use memento_sketches::{ExactTimedWindow, ExactWindow};
@@ -94,15 +94,12 @@ pub fn measure_mpps<F: FnMut()>(packets: usize, mut run: F) -> f64 {
 // writing another per-algorithm loop.
 // ---------------------------------------------------------------------------
 
-/// Per-packet update throughput of a flow estimator, in million packets per
-/// second.
-pub fn measure_estimator_mpps<K: Clone>(
-    estimator: &mut dyn SlidingWindowEstimator<K>,
-    keys: &[K],
-) -> f64 {
-    measure_mpps(keys.len(), || {
-        for key in keys {
-            estimator.update(key.clone());
+/// Per-packet update throughput of any [`Ingest`] implementor — a flow
+/// estimator or an HHH algorithm — in million packets per second.
+pub fn measure_update_mpps<T: Clone>(algorithm: &mut dyn Ingest<T>, items: &[T]) -> f64 {
+    measure_mpps(items.len(), || {
+        for item in items {
+            algorithm.update(item.clone());
         }
     })
 }
@@ -120,19 +117,6 @@ pub fn measure_estimator_batch_mpps<K: Clone>(
     measure_mpps(keys.len(), || {
         estimator.update_batch(keys);
         let _ = estimator.processed();
-    })
-}
-
-/// Per-packet update throughput of an HHH algorithm, in million packets per
-/// second.
-pub fn measure_hhh_mpps<Hi: Hierarchy>(
-    algorithm: &mut dyn HhhAlgorithm<Hi>,
-    items: &[Hi::Item],
-) -> f64 {
-    measure_mpps(items.len(), || {
-        for &item in items {
-            algorithm.update(item);
-        }
     })
 }
 
@@ -219,7 +203,7 @@ pub fn stamp_bursty_then_diurnal(
 /// On Arrival error for HHH algorithms, per prefix level: before each probed
 /// arrival, every algorithm estimates each of the arriving packet's
 /// prefixes against an exact sliding window of `window` packets. Interval
-/// algorithms ([`HhhAlgorithm::is_interval`]) are reset every `window`
+/// algorithms ([`Ingest::is_interval`]) are reset every `window`
 /// packets, as in §6.3.1. Returns one `Vec<Rmse>` (indexed by prefix level)
 /// per algorithm, in input order.
 pub fn on_arrival_hhh_rmse<Hi: Hierarchy>(
@@ -378,7 +362,7 @@ mod tests {
             .map(Packet::flow)
             .collect();
         let mut memento: Memento<u64> = Memento::new(64, 2_000, 0.5, 1);
-        let mpps = measure_estimator_mpps(&mut memento, &keys);
+        let mpps = measure_update_mpps(&mut memento, &keys);
         assert!(mpps > 0.0);
         assert_eq!(WindowQuery::processed(&memento), 5_000);
         let mut batched: Memento<u64> = Memento::new(64, 2_000, 0.5, 1);

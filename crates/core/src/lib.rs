@@ -17,6 +17,13 @@
 //! * [`analysis`] — the paper's accuracy analysis turned into code: minimum
 //!   sampling probabilities (Theorems 5.2/5.3), the network-wide error bound
 //!   (Theorem 5.5) and the optimal batch size computation of §5.2.
+//! * [`traits`] — the one ingest contract, [`Ingest`], which every
+//!   algorithm above (and every baseline and sharded engine) keeps for its
+//!   item type, and the two algorithm traits built on it:
+//!   [`SlidingWindowEstimator`] (`Ingest` + [`WindowQuery`]) and
+//!   [`HhhAlgorithm`] (`Ingest` + [`HhhQuery`]).
+//! * [`time`] — the time plane: [`TimedWindow`] turns any [`Ingest`]
+//!   implementor's count window into a time window.
 //!
 //! The network-wide variants (D-Memento / D-H-Memento) live in the
 //! `memento-netwide` crate; baselines (MST, RHHH, …) in `memento-baselines`.
@@ -60,5 +67,5 @@ pub use h_memento::HMemento;
 pub use memento::Memento;
 pub use query::{FrozenHhh, FrozenWindow, HhhQuery, WindowQuery};
 pub use time::{GrainClock, GrainMap, TimedWindow};
-pub use traits::{HhhAlgorithm, SlidingWindowEstimator};
+pub use traits::{HhhAlgorithm, Ingest, SlidingWindowEstimator};
 pub use wcss::Wcss;

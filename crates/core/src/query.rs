@@ -1,11 +1,12 @@
 //! The read-only query plane: `WindowQuery` / `HhhQuery` and the frozen
 //! summaries that carry answers across threads.
 //!
-//! PR 7 splits the workspace's fat algorithm traits in two. The ingest side
-//! ([`SlidingWindowEstimator`](crate::traits::SlidingWindowEstimator),
-//! [`HhhAlgorithm`](crate::traits::HhhAlgorithm)) keeps everything that
-//! mutates — `update`, `update_batch`, `skip` — while the query side lives
-//! here as supertraits that need only `&self`:
+//! The workspace's algorithm traits come in two halves. The ingest side,
+//! one [`Ingest`](crate::traits::Ingest) contract for every item type,
+//! keeps everything that mutates — `update`, `update_batch`, `skip` —
+//! while the query side lives here as traits that need only `&self`;
+//! [`SlidingWindowEstimator`](crate::traits::SlidingWindowEstimator) and
+//! [`HhhAlgorithm`](crate::traits::HhhAlgorithm) join the two:
 //!
 //! * [`WindowQuery`] — `estimate` / `heavy_hitters` / `processed` for
 //!   per-flow frequency estimators;

@@ -1,5 +1,5 @@
-//! The time plane: grain-mapped time-based sliding windows over the
-//! count-based estimators.
+//! The time plane: grain-mapped time-based sliding windows over any
+//! count-based algorithm that keeps the [`Ingest`] contract.
 //!
 //! The paper — and every count-based structure in this workspace — defines
 //! its window as "the last `W` packets". Real SLAs are time-based ("the
@@ -10,7 +10,14 @@
 //! block/frame structure (CoNEXT 2018, §4) already *is* a grained window,
 //! so a time-based window needs no new algorithm — only plumbing from
 //! timestamps to a computed number of closed-form
-//! [`skip`](crate::traits::SlidingWindowEstimator::skip) rotations.
+//! [`skip`](Ingest::skip) rotations.
+//!
+//! [`TimedWindow`] wraps anything that implements [`Ingest`] — a single
+//! estimator, H-Memento, or a whole sharded engine — and answers the read
+//! side of whatever it wraps ([`WindowQuery`] or [`HhhQuery`]). There is no
+//! second time plane: a sharded engine gets time-based windows by being
+//! wrapped, and its closed-form `skip` carries the rotations to every
+//! shard.
 //!
 //! # The grain ↔ position mapping
 //!
@@ -47,9 +54,11 @@
 use std::hash::Hash;
 use std::marker::PhantomData;
 
+use memento_hierarchy::Hierarchy;
+
 use crate::delta::WindowPatch;
-use crate::query::WindowQuery;
-use crate::traits::SlidingWindowEstimator;
+use crate::query::{HhhQuery, WindowQuery};
+use crate::traits::Ingest;
 
 /// The static geometry of a grain-mapped time window: how many clock ticks
 /// one grain spans and how many stream positions it is worth.
@@ -58,7 +67,7 @@ pub struct GrainMap {
     /// Window length in clock ticks (`D`).
     window_ticks: u64,
     /// Window length in stream positions (`W`) — must match the wrapped
-    /// estimator's configured window.
+    /// algorithm's configured window.
     window_positions: u64,
     /// Ticks per grain: `max(1, ⌈D/g⌉)`.
     grain_span: u64,
@@ -131,8 +140,8 @@ impl GrainMap {
 /// The clock anchors itself on the first observation: the first timestamp's
 /// grain becomes the schedule origin at the stream position passed in with
 /// it. From then on, [`observe`](Self::observe) returns how many rotations
-/// ([`skip`](crate::traits::SlidingWindowEstimator::skip) positions) bring
-/// the stream to the schedule for the observed timestamp's grain. See the
+/// ([`skip`](Ingest::skip) positions) bring the stream to the schedule for
+/// the observed timestamp's grain. See the
 /// [module docs](self) for the schedule semantics and the clamp-to-last
 /// clock policy.
 #[derive(Debug, Clone)]
@@ -261,53 +270,57 @@ impl GrainClock {
     }
 }
 
-/// A time-based sliding window over any [`SlidingWindowEstimator`]: records
-/// carry timestamps, and the wrapped estimator's count window is kept at
+/// A time-based sliding window over any [`Ingest`] implementor: records
+/// carry timestamps, and the wrapped algorithm's count window is kept at
 /// the position schedule of a [`GrainClock`].
 ///
-/// The wrapper owns the estimator — all ingest must flow through
+/// The wrapper owns the algorithm — all ingest must flow through
 /// [`record_at`](Self::record_at) / [`record_batch_at`](Self::record_batch_at)
-/// / [`advance_to`](Self::advance_to) so the wrapper's position mirror
-/// stays true (it deliberately never calls the inner
-/// [`processed`](WindowQuery::processed), which on the sharded engines
-/// forces a snapshot publication). Read access goes through the wrapper's
-/// own [`WindowQuery`] implementation, [`inner`](Self::inner), or
-/// [`query_at`](Self::query_at) when the answer must reflect expiry up to
-/// a timestamp with no packet attached.
+/// / [`record_timed`](Self::record_timed) / [`advance_to`](Self::advance_to)
+/// so the wrapper's position mirror stays true (it never asks the inner
+/// algorithm for its position, which on the sharded engines would force a
+/// snapshot publication). Read access goes through the wrapper's own
+/// [`WindowQuery`] or [`HhhQuery`] implementation (whichever the inner
+/// type implements), [`inner`](Self::inner), or [`query_at`](Self::query_at)
+/// when the answer must reflect expiry up to a timestamp with no packet
+/// attached.
 ///
-/// The estimator must be configured with a count window of exactly
+/// The algorithm must be configured with a count window of exactly
 /// `map.window_positions()` — the wrapper cannot read it back through the
-/// trait, so the constructor takes the geometry explicitly.
+/// trait, so the constructor takes the geometry explicitly. Wrapping a
+/// sharded engine ([`Engine`](../../memento_shard/struct.Engine.html))
+/// makes it a time-based window: every rotation reaches all shards through
+/// the engine's `skip`.
 #[derive(Debug, Clone)]
-pub struct TimedWindow<K: Clone, A: SlidingWindowEstimator<K>> {
+pub struct TimedWindow<T: Clone, A: Ingest<T>> {
     inner: A,
     clock: GrainClock,
     /// Mirror of the inner stream position: records plus rotations since
-    /// construction, on top of whatever the estimator had processed before.
+    /// construction.
     position: u64,
     /// Advances whose rotation count covered the whole count window —
     /// i.e. idle gaps that land on the inner `skip`'s wholesale-clear
     /// fast path (diagnostic hook, in the style of the sharded engine's
     /// `freeze_rounds`).
     whole_window_advances: u64,
-    _key: PhantomData<fn(K)>,
+    _item: PhantomData<fn(T)>,
 }
 
-impl<K: Clone, A: SlidingWindowEstimator<K>> TimedWindow<K, A> {
+impl<T: Clone, A: Ingest<T>> TimedWindow<T, A> {
     /// Wraps `inner` (configured with a count window of
     /// `map.window_positions()`) behind the grain-mapped time window `map`.
     ///
-    /// The wrapper seeds its position mirror from `inner.processed()`, so a
-    /// pre-loaded estimator may be wrapped; from then on every update must
-    /// go through the wrapper.
+    /// The position mirror starts at 0 and counts the records and rotations
+    /// that go through the wrapper, as every later update must. The clock
+    /// only ever compares its schedule with this mirror, so a pre-loaded
+    /// algorithm rotates exactly as a fresh one would.
     pub fn new(inner: A, map: GrainMap) -> Self {
-        let position = inner.processed();
         TimedWindow {
             inner,
             clock: GrainClock::new(map),
-            position,
+            position: 0,
             whole_window_advances: 0,
-            _key: PhantomData,
+            _item: PhantomData,
         }
     }
 
@@ -320,9 +333,9 @@ impl<K: Clone, A: SlidingWindowEstimator<K>> TimedWindow<K, A> {
 
     /// Advances the window to timestamp `t` without recording anything:
     /// executes the schedule's pending rotations through the inner
-    /// closed-form [`skip`](SlidingWindowEstimator::skip). O(1) in the
-    /// drained steady state; an idle gap outrunning the whole ring is a
-    /// wholesale clear. Non-monotone `t` clamps (see [`GrainClock`]).
+    /// closed-form [`skip`](Ingest::skip). O(1) in the drained steady
+    /// state; an idle gap outrunning the whole ring is a wholesale clear.
+    /// Non-monotone `t` clamps (see [`GrainClock`]).
     pub fn advance_to(&mut self, t: u64) {
         let rotations = self.clock.observe(t, self.position);
         if rotations > 0 {
@@ -334,36 +347,35 @@ impl<K: Clone, A: SlidingWindowEstimator<K>> TimedWindow<K, A> {
         }
     }
 
-    /// Records one packet of flow `key` arriving at timestamp `t`:
+    /// Records one packet carrying `item` arriving at timestamp `t`:
     /// [`advance_to`](Self::advance_to)`(t)` then one inner update.
-    pub fn record_at(&mut self, key: K, t: u64) {
+    pub fn record_at(&mut self, item: T, t: u64) {
         self.advance_to(t);
-        self.inner.update(key);
+        self.inner.update(item);
         self.position += 1;
     }
 
     /// Records a burst of packets all arriving at timestamp `t` through
     /// the inner batch fast path.
-    pub fn record_batch_at(&mut self, keys: &[K], t: u64) {
+    pub fn record_batch_at(&mut self, items: &[T], t: u64) {
         self.advance_to(t);
-        self.inner.update_batch(keys);
-        self.position += keys.len() as u64;
+        self.inner.update_batch(items);
+        self.position += items.len() as u64;
     }
 
     /// Replays a batch of individually timestamped packets (a recorded
     /// trace slice) as same-grain *runs*: each run is one closed-form
-    /// [`skip`](SlidingWindowEstimator::skip) over the head's rotations
-    /// followed by one plain
-    /// [`update_batch`](SlidingWindowEstimator::update_batch) over the
-    /// run's keys — no per-packet gap stamps at all. Equivalent to
+    /// [`skip`](Ingest::skip) over the head's rotations followed by one
+    /// plain [`update_batch`](Ingest::update_batch) over the run's items —
+    /// no per-packet gap stamps at all. Equivalent to
     /// `record_at` per packet — bit for bit at τ = 1; at τ < 1 the
     /// rotation schedule is still identical but the batch path draws its
     /// geometric skips from the RNG in a different order than per-packet
     /// coins (statistically equivalent, exactly as for the untimed batch
     /// paths).
     ///
-    /// The clock consult is hoisted out of the per-packet loop (PR 10):
-    /// only the *head* of each in-grain run pays the full
+    /// The clock consult is hoisted out of the per-packet loop: only the
+    /// *head* of each in-grain run pays the full
     /// [`GrainClock::observe`] (boundary crossings, schedule re-anchoring,
     /// the wholesale-clear diagnostic). After a record the position is
     /// strictly ahead of the schedule, so every following timestamp inside
@@ -379,7 +391,7 @@ impl<K: Clone, A: SlidingWindowEstimator<K>> TimedWindow<K, A> {
     /// and non-monotone clocks). Arrival clocks that cross a grain on
     /// every packet degrade to per-packet `skip`/`update_batch` calls —
     /// the cost `record_at` pays anyway.
-    pub fn record_timed(&mut self, packets: &[(u64, K)]) {
+    pub fn record_timed(&mut self, packets: &[(u64, T)]) {
         let mut keys = Vec::with_capacity(packets.len());
         let mut i = 0;
         while i < packets.len() {
@@ -413,7 +425,7 @@ impl<K: Clone, A: SlidingWindowEstimator<K>> TimedWindow<K, A> {
         }
     }
 
-    /// Advances the window to `t`, then hands out the inner estimator for
+    /// Advances the window to `t`, then hands out the inner algorithm for
     /// querying — the read path for "as of time `t`" answers when no packet
     /// arrived at `t` itself.
     pub fn query_at(&mut self, t: u64) -> &A {
@@ -421,14 +433,14 @@ impl<K: Clone, A: SlidingWindowEstimator<K>> TimedWindow<K, A> {
         &self.inner
     }
 
-    /// The wrapped estimator, read-only (mutating it outside the wrapper
+    /// The wrapped algorithm, read-only (mutating it outside the wrapper
     /// would desynchronize the position mirror — use
     /// [`into_inner`](Self::into_inner) to take it back).
     pub fn inner(&self) -> &A {
         &self.inner
     }
 
-    /// Unwraps the estimator, consuming the time plane.
+    /// Unwraps the algorithm, consuming the time plane.
     pub fn into_inner(self) -> A {
         self.inner
     }
@@ -452,7 +464,7 @@ impl<K: Clone, A: SlidingWindowEstimator<K>> TimedWindow<K, A> {
     }
 }
 
-impl<K: Clone, A: SlidingWindowEstimator<K>> WindowQuery<K> for TimedWindow<K, A> {
+impl<K: Clone, A: Ingest<K> + WindowQuery<K>> WindowQuery<K> for TimedWindow<K, A> {
     fn name(&self) -> &'static str {
         self.inner.name()
     }
@@ -482,6 +494,24 @@ impl<K: Clone, A: SlidingWindowEstimator<K>> WindowQuery<K> for TimedWindow<K, A
         K: Eq + Hash,
     {
         self.inner.freeze_delta()
+    }
+}
+
+impl<T: Clone, Hi: Hierarchy, A: Ingest<T> + HhhQuery<Hi>> HhhQuery<Hi> for TimedWindow<T, A> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn estimate(&self, prefix: &Hi::Prefix) -> f64 {
+        self.inner.estimate(prefix)
+    }
+
+    fn output(&self, theta: f64) -> Vec<Hi::Prefix> {
+        self.inner.output(theta)
+    }
+
+    fn processed(&self) -> u64 {
+        self.inner.processed()
     }
 }
 

@@ -8,24 +8,34 @@
 //! that duplication, in the spirit of WCSS's "one summary, many frontends"
 //! framing (Infocom 2016):
 //!
-//! * [`SlidingWindowEstimator`] — per-flow frequency estimation over a
-//!   stream, with a provided [`update_batch`](SlidingWindowEstimator::update_batch)
-//!   that concrete types can specialize (Memento replaces per-packet coin
-//!   flips with geometric skip sampling, see
-//!   [`Memento::update_batch`](crate::Memento::update_batch));
-//! * [`HhhAlgorithm`] — hierarchical heavy hitters over a [`Hierarchy`].
+//! * [`Ingest`] — the one ingest contract, written once for every item
+//!   type: `update`, a provided [`update_batch`](Ingest::update_batch) that
+//!   concrete types can specialize (Memento replaces per-packet coin flips
+//!   with geometric skip sampling, see
+//!   [`Memento::update_batch`](crate::Memento::update_batch)), the
+//!   closed-form [`skip`](Ingest::skip), the gap-coalescing
+//!   [`update_batch_positioned`](Ingest::update_batch_positioned) and the
+//!   interval capability ([`is_interval`](Ingest::is_interval));
+//! * [`SlidingWindowEstimator`] — per-flow frequency estimation:
+//!   `Ingest<K>` plus the read-only [`WindowQuery<K>`];
+//! * [`HhhAlgorithm`] — hierarchical heavy hitters over a [`Hierarchy`]:
+//!   `Ingest<Hi::Item>` plus the read-only [`HhhQuery<Hi>`].
 //!
-//! Since PR 7 both are **ingest** traits layered over the read-only query
-//! traits in [`crate::query`]: `SlidingWindowEstimator<K>` extends
-//! [`WindowQuery<K>`] and `HhhAlgorithm<Hi>` extends [`HhhQuery<Hi>`]. The
-//! query half needs only `&self` and is also implemented by frozen summaries
-//! and the sharded engines' snapshot readers, so read-side consumers (ACL
-//! checks, controllers, dashboards) can be written against `&dyn
-//! WindowQuery<K>` and never see a mutating method.
+//! Memento (Algorithm 1) and H-Memento (Algorithm 2) ingest packets the same
+//! way — a Full update with probability τ, a Window update otherwise, and
+//! bulk window advances over packets seen elsewhere (§4.3) — so the sharded
+//! engine and the time plane ([`TimedWindow`](crate::TimedWindow)) are
+//! written once against [`Ingest`] and serve both families. The query half
+//! ([`crate::query`]) needs only `&self` and is also implemented by frozen
+//! summaries and the sharded engines' snapshot readers, so read-side
+//! consumers (ACL checks, controllers, dashboards) can be written against
+//! `&dyn WindowQuery<K>` and never see a mutating method.
 //!
-//! All four traits are object safe: consumers can hold
+//! All five traits are object safe: consumers can hold
 //! `Vec<Box<dyn SlidingWindowEstimator<u64>>>` (as the workspace's
-//! trait-object smoke test does) or take `&mut dyn HhhAlgorithm<_>`.
+//! trait-object smoke test does) or take `&mut dyn HhhAlgorithm<_>`. Calls
+//! through those objects, or through a generic `E: SlidingWindowEstimator<K>`
+//! bound, reach the [`Ingest`] methods without importing [`Ingest`].
 
 use std::hash::Hash;
 
@@ -39,32 +49,26 @@ use crate::h_memento::HMemento;
 use crate::memento::Memento;
 use crate::wcss::Wcss;
 
-/// A streaming per-flow frequency estimator, usually over a sliding window.
+/// The ingest contract every streaming algorithm of the workspace keeps,
+/// whatever it counts: flow keys for estimators, hierarchy items for HHH.
 ///
-/// This is the *ingest* half of the interface — everything that mutates the
-/// state. The query half ([`estimate`](WindowQuery::estimate),
-/// [`heavy_hitters`](WindowQuery::heavy_hitters),
-/// [`processed`](WindowQuery::processed)) lives in the [`WindowQuery`]
-/// supertrait so it can be shared with frozen snapshots and readers.
-///
-/// Implementors with interval (landmark-window) semantics — [`SpaceSaving`]
-/// counts everything since its last flush — document so; the trait's
-/// contract is about the shared driver surface, which the paper's evaluation
-/// uses across both families.
-pub trait SlidingWindowEstimator<K: Clone>: WindowQuery<K> {
-    /// Processes one packet of flow `key`.
-    fn update(&mut self, key: K);
+/// This is the half of the interface that mutates the state. What an
+/// algorithm answers lives in the read-only [`WindowQuery`] / [`HhhQuery`]
+/// traits, which [`SlidingWindowEstimator`] and [`HhhAlgorithm`] add on top.
+pub trait Ingest<T: Clone> {
+    /// Processes one packet carrying `item`.
+    fn update(&mut self, item: T);
 
     /// Processes a batch of packets.
     ///
     /// The provided implementation is the per-packet loop; implementors with
     /// a cheaper bulk path (batched sampling, amortized bookkeeping)
     /// override it. Calling `update_batch` must be statistically equivalent
-    /// to calling [`update`](Self::update) on each key in order — exactly
+    /// to calling [`update`](Self::update) on each item in order — exactly
     /// equivalent when the implementor is deterministic.
-    fn update_batch(&mut self, keys: &[K]) {
-        for key in keys {
-            self.update(key.clone());
+    fn update_batch(&mut self, items: &[T]) {
+        for item in items {
+            self.update(item.clone());
         }
     }
 
@@ -77,22 +81,22 @@ pub trait SlidingWindowEstimator<K: Clone>: WindowQuery<K> {
     /// *global* stream position: after `skip(n)`, queries refer to the last
     /// `W` packets of the combined stream, of which this instance recorded
     /// only its own share. Implementations must be equivalent to `n`
-    /// unrecorded single-packet window advances but are expected to run in
-    /// time **sublinear in `n`** — the workspace's window implementations
+    /// unrecorded Window updates but are expected to run in time
+    /// **sublinear in `n`** — the workspace's window implementations
     /// compute block rotations, frame flushes and expiry drains in closed
-    /// form (Memento/WCSS) or evict by position range (exact windows), so
-    /// the cost of a skip is independent of `n` and `O(1)` once the expired
-    /// state is drained.
+    /// form (Memento/WCSS/H-Memento) or evict by position range (exact
+    /// windows), so the cost of a skip is independent of `n` and `O(1)`
+    /// once the expired state is drained.
     ///
-    /// Interval (landmark-window) estimators have no window to advance and
-    /// implement this as a documented no-op; they must also opt out of
-    /// [`mergeable`](Self::mergeable) so sharded-window engines refuse them
-    /// at construction.
+    /// Interval (landmark-window) algorithms have no window to advance and
+    /// implement this as a documented no-op; they report
+    /// [`is_interval`](Self::is_interval), which sharded-window engines
+    /// refuse at construction.
     ///
-    /// # Contract: `skip(n)` ≡ `n` unrecorded window advances
+    /// # Contract: `skip(n)` ≡ `n` unrecorded Window updates
     ///
     /// ```
-    /// use memento_core::traits::{SlidingWindowEstimator, WindowQuery};
+    /// use memento_core::traits::{Ingest, WindowQuery};
     /// use memento_core::Memento;
     ///
     /// // Two identical instances over a 60-packet window (τ = 1: WCSS
@@ -104,8 +108,8 @@ pub trait SlidingWindowEstimator<K: Clone>: WindowQuery<K> {
     ///     per_packet.update(i % 3);
     /// }
     /// // 40 packets observed elsewhere: one closed-form skip on the left,
-    /// // 40 per-packet window advances on the right.
-    /// SlidingWindowEstimator::skip(&mut bulk, 40);
+    /// // 40 Window updates on the right.
+    /// Ingest::skip(&mut bulk, 40);
     /// for _ in 0..40 {
     ///     per_packet.window_update();
     /// }
@@ -117,67 +121,128 @@ pub trait SlidingWindowEstimator<K: Clone>: WindowQuery<K> {
     /// }
     /// assert_eq!(bulk.processed(), per_packet.processed());
     /// ```
+    ///
+    /// H-Memento keeps the same contract; the [`HhhAlgorithm`] example
+    /// checks it through a trait object.
     fn skip(&mut self, n: u64);
 
-    /// Processes a *gap-stamped* batch: before each `keys[i]`, the window
+    /// Processes a *gap-stamped* batch: before each `items[i]`, the window
     /// advances over `gaps[i]` packets recorded elsewhere (the
-    /// `memento-shard` router stamps every key with the number of packets
-    /// routed to other shards since this shard's previous key, so a shard
+    /// `memento-shard` router stamps every item with the number of packets
+    /// routed to other shards since this shard's previous item, so a shard
     /// replays its exact global positions).
     ///
     /// The provided implementation **coalesces the stamps into runs**: each
-    /// run of zero-gap keys (consecutive own packets) becomes one
+    /// run of zero-gap items (consecutive own packets) becomes one
     /// [`update_batch`](Self::update_batch) call — inheriting the
     /// implementor's batch fast path — and each positive gap (a run of
     /// foreign packets) becomes exactly one closed-form
     /// [`skip`](Self::skip). The observable behaviour is that of the
-    /// per-key interleaving `skip(gaps[i]); update(keys[i])`, which any
+    /// per-item interleaving `skip(gaps[i]); update(items[i])`, which any
     /// override must preserve; implementors with a cheaper fused path
     /// (Memento folds the gaps into its geometric-skip sampling walk)
     /// override it.
     ///
     /// # Panics
-    /// Implementations may assume and assert `gaps.len() == keys.len()`.
-    fn update_batch_positioned(&mut self, gaps: &[u64], keys: &[K]) {
-        assert_eq!(gaps.len(), keys.len(), "one gap stamp per key");
+    /// Implementations may assume and assert `gaps.len() == items.len()`.
+    fn update_batch_positioned(&mut self, gaps: &[u64], items: &[T]) {
+        assert_eq!(gaps.len(), items.len(), "one gap stamp per item");
         let mut run_start = 0usize;
         for (i, &gap) in gaps.iter().enumerate() {
             if gap > 0 {
                 if run_start < i {
-                    self.update_batch(&keys[run_start..i]);
+                    self.update_batch(&items[run_start..i]);
                 }
                 self.skip(gap);
                 run_start = i;
             }
         }
-        if run_start < keys.len() {
-            self.update_batch(&keys[run_start..]);
+        if run_start < items.len() {
+            self.update_batch(&items[run_start..]);
         }
     }
 
+    /// True for interval (landmark-window) algorithms — Space Saving, MST,
+    /// RHHH — whose measurement counts everything since the last
+    /// [`reset_interval`](Self::reset_interval) and whose `skip` is a
+    /// no-op; sliding-window algorithms return `false` (the default).
+    ///
+    /// Generic drivers use it to apply the paper's §3 interval discipline
+    /// (reset every `W` packets) without knowing concrete types. The
+    /// `memento-shard` engine refuses interval algorithms: instances over
+    /// *disjoint item partitions* of one stream answer the global window
+    /// queries by simple merging — the owning partition's estimate per
+    /// flow, summed per-partition estimates per prefix — only while every
+    /// instance keeps its window at the global stream position through
+    /// [`skip`](Self::skip). That is the mergeable-sliding-window property
+    /// the heavy-hitter literature (Braverman et al.) assumes for
+    /// partitioned deployments; a partition whose window counts only its
+    /// own last `W/N` packets covers a skewed, flow-dependent stretch of
+    /// the global stream instead.
+    fn is_interval(&self) -> bool {
+        false
+    }
+
+    /// Starts a new measurement interval; a no-op for sliding-window
+    /// algorithms.
+    fn reset_interval(&mut self) {}
+}
+
+/// A streaming per-flow frequency estimator, usually over a sliding window:
+/// the [`Ingest`] contract over flow keys plus the read-only
+/// [`WindowQuery`] surface ([`estimate`](WindowQuery::estimate),
+/// [`heavy_hitters`](WindowQuery::heavy_hitters),
+/// [`processed`](WindowQuery::processed)) shared with frozen snapshots and
+/// readers.
+///
+/// Implementors with interval (landmark-window) semantics — [`SpaceSaving`]
+/// counts everything since its last flush — report
+/// [`is_interval`](Ingest::is_interval); the paper's evaluation drives both
+/// families through the same surface.
+pub trait SlidingWindowEstimator<K: Clone>: Ingest<K> + WindowQuery<K> {
     /// Approximate heap footprint of the estimator state in bytes.
     fn space_bytes(&self) -> usize;
+}
 
-    /// True when instances of this estimator running over *disjoint key
-    /// partitions* of one stream answer the global window queries by simple
-    /// merging, **provided every instance keeps its window at the global
-    /// stream position** (each partition advances over the other
-    /// partitions' packets via [`skip`](Self::skip)) — a flow's estimate is
-    /// then the owning partition's estimate and the global heavy-hitter set
-    /// is the union of per-partition sets. Simple merging alone does *not*
-    /// answer global-window queries: a partition whose window counts only
-    /// its own last `W/N` packets covers a skewed, flow-dependent stretch
-    /// of the global stream. This is the mergeable-sliding-window property
-    /// the heavy-hitter literature (Braverman et al.) assumes for
-    /// partitioned deployments, and what the `memento-shard` engine
-    /// requires of the estimators it scales across cores. An estimator
-    /// qualifies when its state is per-flow counts plus a stream position
-    /// it can advance via `skip`; interval estimators ([`SpaceSaving`]) and
-    /// implementors whose queries depend on cross-flow global state must
-    /// opt out so sharded-window engines can refuse them at construction.
-    fn mergeable(&self) -> bool {
-        true
-    }
+/// A hierarchical heavy-hitters algorithm over a [`Hierarchy`]: the
+/// [`Ingest`] contract over hierarchy items plus the read-only [`HhhQuery`]
+/// surface ([`estimate`](HhhQuery::estimate), [`output`](HhhQuery::output),
+/// [`processed`](HhhQuery::processed)) shared with frozen snapshots and
+/// readers.
+///
+/// # Example: `skip(n)` ≡ `n` unrecorded Window updates, through `dyn`
+///
+/// A trait object reaches the [`Ingest`] methods without importing
+/// [`Ingest`].
+///
+/// ```
+/// use memento_core::traits::HhhAlgorithm;
+/// use memento_core::HMemento;
+/// use memento_hierarchy::{Prefix1D, SrcHierarchy};
+///
+/// // Two identical instances (τ = 1: deterministic level sampling
+/// // shares the seeded RNG, identical on both sides).
+/// let mut bulk = HMemento::new(SrcHierarchy, 64, 60, 1.0, 0.01, 3);
+/// let mut per_packet = HMemento::new(SrcHierarchy, 64, 60, 1.0, 0.01, 3);
+/// let alg: &mut dyn HhhAlgorithm<SrcHierarchy> = &mut bulk;
+/// for i in 0..45u32 {
+///     let host = u32::from_be_bytes([10, 0, 0, (i % 3) as u8]);
+///     alg.update(host);
+///     per_packet.update(host);
+/// }
+/// // 40 packets observed elsewhere: one closed-form skip on the left,
+/// // 40 Window updates on the right.
+/// alg.skip(40);
+/// for _ in 0..40 {
+///     per_packet.window_update();
+/// }
+/// let subnet = Prefix1D::new(u32::from_be_bytes([10, 0, 0, 0]), 8);
+/// assert_eq!(alg.estimate(&subnet), per_packet.estimate(&subnet));
+/// assert_eq!(alg.processed(), per_packet.processed());
+/// ```
+pub trait HhhAlgorithm<Hi: Hierarchy>: Ingest<Hi::Item> + HhhQuery<Hi> {
+    /// Approximate heap footprint of the algorithm state in bytes.
+    fn space_bytes(&self) -> usize;
 }
 
 impl<K: Eq + Hash + Clone> WindowQuery<K> for Memento<K> {
@@ -225,7 +290,7 @@ impl<K: Eq + Hash + Clone> WindowQuery<K> for Memento<K> {
     }
 }
 
-impl<K: Eq + Hash + Clone> SlidingWindowEstimator<K> for Memento<K> {
+impl<K: Eq + Hash + Clone> Ingest<K> for Memento<K> {
     #[inline]
     fn update(&mut self, key: K) {
         Memento::update(self, key);
@@ -250,7 +315,9 @@ impl<K: Eq + Hash + Clone> SlidingWindowEstimator<K> for Memento<K> {
     fn update_batch_positioned(&mut self, gaps: &[u64], keys: &[K]) {
         Memento::update_batch_positioned(self, gaps, keys);
     }
+}
 
+impl<K: Eq + Hash + Clone> SlidingWindowEstimator<K> for Memento<K> {
     fn space_bytes(&self) -> usize {
         Memento::space_bytes(self)
     }
@@ -292,7 +359,7 @@ impl<K: Eq + Hash + Clone> WindowQuery<K> for Wcss<K> {
     }
 }
 
-impl<K: Eq + Hash + Clone> SlidingWindowEstimator<K> for Wcss<K> {
+impl<K: Eq + Hash + Clone> Ingest<K> for Wcss<K> {
     #[inline]
     fn update(&mut self, key: K) {
         Wcss::update(self, key);
@@ -319,7 +386,9 @@ impl<K: Eq + Hash + Clone> SlidingWindowEstimator<K> for Wcss<K> {
     fn update_batch_positioned(&mut self, gaps: &[u64], keys: &[K]) {
         self.as_memento_mut().update_batch_positioned(gaps, keys);
     }
+}
 
+impl<K: Eq + Hash + Clone> SlidingWindowEstimator<K> for Wcss<K> {
     fn space_bytes(&self) -> usize {
         self.as_memento().space_bytes()
     }
@@ -350,7 +419,7 @@ impl<K: Eq + Hash + Clone> WindowQuery<K> for ExactWindow<K> {
     }
 }
 
-impl<K: Eq + Hash + Clone> SlidingWindowEstimator<K> for ExactWindow<K> {
+impl<K: Eq + Hash + Clone> Ingest<K> for ExactWindow<K> {
     #[inline]
     fn update(&mut self, key: K) {
         self.add(key);
@@ -364,7 +433,9 @@ impl<K: Eq + Hash + Clone> SlidingWindowEstimator<K> for ExactWindow<K> {
     fn skip(&mut self, n: u64) {
         ExactWindow::skip(self, n);
     }
+}
 
+impl<K: Eq + Hash + Clone> SlidingWindowEstimator<K> for ExactWindow<K> {
     fn space_bytes(&self) -> usize {
         ExactWindow::space_bytes(self)
     }
@@ -404,7 +475,7 @@ impl<K: Eq + Hash + Clone> WindowQuery<K> for SpaceSaving<K> {
 /// Interval (landmark-window) semantics: counts everything since creation or
 /// the last flush. Included so interval baselines run under the same generic
 /// drivers the paper's §3 comparison needs.
-impl<K: Eq + Hash + Clone> SlidingWindowEstimator<K> for SpaceSaving<K> {
+impl<K: Eq + Hash + Clone> Ingest<K> for SpaceSaving<K> {
     #[inline]
     fn update(&mut self, key: K) {
         self.add(key);
@@ -423,126 +494,23 @@ impl<K: Eq + Hash + Clone> SlidingWindowEstimator<K> for SpaceSaving<K> {
     /// are simply outside its interval.
     fn skip(&mut self, _n: u64) {}
 
-    fn space_bytes(&self) -> usize {
-        SpaceSaving::space_bytes(self)
+    /// `skip` is a no-op here, so a Space-Saving instance cannot keep a
+    /// partition's window at the global stream position and must not be
+    /// placed behind a sharded-window engine (the engines refuse it at
+    /// construction).
+    fn is_interval(&self) -> bool {
+        true
     }
 
-    /// Interval semantics opt out explicitly: `skip` is a no-op here, so a
-    /// Space-Saving instance cannot keep a partition's window at the global
-    /// stream position and must not be placed behind a sharded-window
-    /// engine (the engines refuse it at construction).
-    fn mergeable(&self) -> bool {
-        false
+    /// Starts a new interval: [`SpaceSaving::flush`].
+    fn reset_interval(&mut self) {
+        self.flush();
     }
 }
 
-/// A hierarchical heavy-hitters algorithm over a [`Hierarchy`].
-///
-/// The ingest half; the query half ([`estimate`](HhhQuery::estimate),
-/// [`output`](HhhQuery::output), [`processed`](HhhQuery::processed)) lives
-/// in the [`HhhQuery`] supertrait shared with frozen snapshots and readers.
-pub trait HhhAlgorithm<Hi: Hierarchy>: HhhQuery<Hi> {
-    /// Processes one packet.
-    fn update(&mut self, item: Hi::Item);
-
-    /// Processes a batch of packets (provided: the per-packet loop).
-    fn update_batch(&mut self, items: &[Hi::Item]) {
-        for &item in items {
-            self.update(item);
-        }
-    }
-
-    /// Advances the measurement window over `n` packets observed elsewhere
-    /// without recording them (see
-    /// [`SlidingWindowEstimator::skip`]): the D-Memento-style bulk window
-    /// update that keeps a partitioned instance's window at the global
-    /// stream position, required to run in time sublinear in `n`. Interval
-    /// algorithms (MST, RHHH) have no window to advance and implement this
-    /// as a documented no-op.
-    ///
-    /// # Contract: `skip(n)` ≡ `n` unrecorded window advances
-    ///
-    /// ```
-    /// use memento_core::traits::{HhhAlgorithm, HhhQuery};
-    /// use memento_core::HMemento;
-    /// use memento_hierarchy::{Prefix1D, SrcHierarchy};
-    ///
-    /// // Two identical instances (τ = 1: deterministic level sampling
-    /// // shares the seeded RNG, identical on both sides).
-    /// let mut bulk = HMemento::new(SrcHierarchy, 64, 60, 1.0, 0.01, 3);
-    /// let mut per_packet = HMemento::new(SrcHierarchy, 64, 60, 1.0, 0.01, 3);
-    /// for i in 0..45u32 {
-    ///     bulk.update(u32::from_be_bytes([10, 0, 0, (i % 3) as u8]));
-    ///     per_packet.update(u32::from_be_bytes([10, 0, 0, (i % 3) as u8]));
-    /// }
-    /// // 40 packets observed elsewhere: one closed-form skip on the left,
-    /// // 40 per-packet window advances on the right.
-    /// HhhAlgorithm::<SrcHierarchy>::skip(&mut bulk, 40);
-    /// for _ in 0..40 {
-    ///     per_packet.window_update();
-    /// }
-    /// let subnet = Prefix1D::new(u32::from_be_bytes([10, 0, 0, 0]), 8);
-    /// assert_eq!(
-    ///     HhhQuery::<SrcHierarchy>::estimate(&bulk, &subnet),
-    ///     HhhQuery::<SrcHierarchy>::estimate(&per_packet, &subnet),
-    /// );
-    /// assert_eq!(bulk.processed(), per_packet.processed());
-    /// ```
-    fn skip(&mut self, n: u64);
-
-    /// Processes a gap-stamped batch: before each `items[i]`, the window
-    /// advances over `gaps[i]` packets recorded elsewhere (see
-    /// [`SlidingWindowEstimator::update_batch_positioned`]). Like the
-    /// estimator-side default, the provided implementation coalesces the
-    /// stamps into runs: one [`update_batch`](Self::update_batch) per run
-    /// of zero-gap items, one closed-form [`skip`](Self::skip) per
-    /// positive gap.
-    ///
-    /// # Panics
-    /// Implementations may assume and assert `gaps.len() == items.len()`.
-    fn update_batch_positioned(&mut self, gaps: &[u64], items: &[Hi::Item]) {
-        assert_eq!(gaps.len(), items.len(), "one gap stamp per item");
-        let mut run_start = 0usize;
-        for (i, &gap) in gaps.iter().enumerate() {
-            if gap > 0 {
-                if run_start < i {
-                    self.update_batch(&items[run_start..i]);
-                }
-                self.skip(gap);
-                run_start = i;
-            }
-        }
-        if run_start < items.len() {
-            self.update_batch(&items[run_start..]);
-        }
-    }
-
-    /// Approximate heap footprint of the algorithm state in bytes.
-    fn space_bytes(&self) -> usize;
-
-    /// True for interval (landmark) algorithms — MST, RHHH — whose
-    /// measurement restarts at interval boundaries; sliding-window
-    /// algorithms return `false` (the default). Generic drivers use this to
-    /// apply the paper's §3 interval discipline (reset every `W` packets)
-    /// without knowing concrete types.
-    fn is_interval(&self) -> bool {
-        false
-    }
-
-    /// Starts a new measurement interval; a no-op for sliding-window
-    /// algorithms.
-    fn reset_interval(&mut self) {}
-
-    /// True when instances over *disjoint item partitions* of one stream
-    /// merge into the global answer by summing per-partition prefix
-    /// estimates and unioning per-partition HHH sets, **provided every
-    /// instance keeps its window at the global stream position** via
-    /// [`skip`](Self::skip) (see [`SlidingWindowEstimator::mergeable`]; for
-    /// hierarchies the merge is summation because one prefix aggregates
-    /// items from every partition). The `memento-shard` engine shards
-    /// [`HMemento`], which qualifies.
-    fn mergeable(&self) -> bool {
-        true
+impl<K: Eq + Hash + Clone> SlidingWindowEstimator<K> for SpaceSaving<K> {
+    fn space_bytes(&self) -> usize {
+        SpaceSaving::space_bytes(self)
     }
 }
 
@@ -567,7 +535,7 @@ where
     }
 }
 
-impl<Hi: Hierarchy> HhhAlgorithm<Hi> for HMemento<Hi>
+impl<Hi: Hierarchy> Ingest<Hi::Item> for HMemento<Hi>
 where
     Hi::Prefix: Hash,
 {
@@ -582,7 +550,12 @@ where
     fn skip(&mut self, n: u64) {
         HMemento::skip(self, n);
     }
+}
 
+impl<Hi: Hierarchy> HhhAlgorithm<Hi> for HMemento<Hi>
+where
+    Hi::Prefix: Hash,
+{
     fn space_bytes(&self) -> usize {
         self.as_memento().space_bytes()
     }

@@ -23,7 +23,7 @@
 //!
 //! The nightly deep fuzz raises the case count through `PROPTEST_CASES`.
 
-use memento_core::{Memento, SlidingWindowEstimator, Wcss};
+use memento_core::{Ingest, Memento, Wcss};
 use proptest::prelude::*;
 
 /// The τ regimes under test: WCSS mode, moderate and aggressive sampling.

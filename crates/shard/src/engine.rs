@@ -1,18 +1,20 @@
 //! The sharded engine, written once for every algorithm it scales.
 //!
-//! [`Engine`] owns the router, the shard workers, the snapshot hub, the
-//! [`PublishPolicy`] and the grain clock. What differs between per-flow
-//! estimation and hierarchical heavy hitters — the routed item, the part a
-//! shard freezes for a publication and how the parts merge — is named by
-//! the small [`Shard`] trait, which [`BoxedEstimator`](crate::BoxedEstimator)
-//! and [`HMemento`](memento_core::HMemento) implement.
+//! [`Engine`] owns the router, the shard workers, the snapshot hub and the
+//! [`PublishPolicy`], and implements the one [`Ingest`] contract once for
+//! every algorithm it scales. What differs between per-flow estimation and
+//! hierarchical heavy hitters — the routed item, the part a shard freezes
+//! for a publication and how the parts merge — is named by the small
+//! [`Shard`] trait, which [`BoxedEstimator`](crate::BoxedEstimator) and
+//! [`HMemento`](memento_core::HMemento) implement. Time-based windows come
+//! from wrapping the engine in a [`TimedWindow`](memento_core::TimedWindow).
 
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use memento_core::query::{HhhQuery, WindowQuery};
-use memento_core::{GrainClock, GrainMap};
+use memento_core::Ingest;
 use memento_hierarchy::Hierarchy;
 use memento_sketches::fasthash;
 
@@ -98,10 +100,15 @@ pub trait Shard: Send + Sized + 'static {
 /// bit-for-bit; readers observe bounded staleness (≤ one publication
 /// interval) instead.
 ///
-/// The engine implements the workspace's query and ingest traits —
+/// The engine implements [`Ingest`] once, through its inherent
+/// [`update`](Self::update), [`update_batch`](Self::update_batch),
+/// [`update_batch_positioned`](Self::update_batch_positioned) and
+/// [`skip`](Self::skip), and the query traits its snapshots answer —
 /// [`ShardedEstimator`](crate::ShardedEstimator) the per-flow ones,
 /// [`ShardedHhh`](crate::ShardedHhh) the hierarchical ones — so every
-/// generic driver in the workspace runs sharded without modification.
+/// generic driver in the workspace, and the time plane
+/// ([`TimedWindow`](memento_core::TimedWindow)), runs sharded without
+/// modification.
 pub struct Engine<A: Shard> {
     name: &'static str,
     workers: Vec<ShardWorker<A>>,
@@ -124,9 +131,6 @@ pub struct Engine<A: Shard> {
     hub: Arc<SnapshotHub<A::Part, A::Snapshot>>,
     /// Worst per-shard error bound, constant per configuration.
     error_bound: f64,
-    /// The clock of the engine-level time plane ([`Self::advance_to`]);
-    /// `None` until [`Self::with_grain_clock`].
-    clock: Option<GrainClock>,
 }
 
 impl<A: Shard> Engine<A> {
@@ -170,7 +174,6 @@ impl<A: Shard> Engine<A> {
             freezes: AtomicUsize::new(0),
             hub: Arc::new(hub),
             error_bound,
-            clock: None,
         }
     }
 
@@ -189,56 +192,6 @@ impl<A: Shard> Engine<A> {
     /// The engine's current snapshot [`PublishPolicy`].
     pub fn policy(&self) -> PublishPolicy {
         self.policy
-    }
-
-    /// Equips the engine with a grain-mapped time plane (builder style,
-    /// like [`Self::with_policy`]): one [`GrainClock`] over `map`, enabling
-    /// [`Self::advance_to`]. Every per-shard algorithm must be configured
-    /// with a count window of exactly `map.window_positions()` — the same
-    /// contract as [`TimedWindow`](memento_core::TimedWindow), which this
-    /// replaces for sharded deployments: the clock lives *inside* the
-    /// engine, so time-driven rotations ship to every shard and the workers
-    /// execute their closed-form skips in parallel.
-    pub fn with_grain_clock(mut self, map: GrainMap) -> Self {
-        self.clock = Some(GrainClock::new(map));
-        self
-    }
-
-    /// The engine's grain clock when it was built
-    /// [`with_grain_clock`](Self::with_grain_clock): geometry, newest
-    /// timestamp, and clamp diagnostics.
-    pub fn grain_clock(&self) -> Option<&GrainClock> {
-        self.clock.as_ref()
-    }
-
-    /// Advances every shard's window to timestamp `t` without recording
-    /// anything — the engine-level twin of
-    /// [`TimedWindow::advance_to`](memento_core::TimedWindow::advance_to).
-    ///
-    /// All ingest flows through the one router, so one clock observing the
-    /// router's global position schedules every shard. When rotations are
-    /// due, the global position advances first and every shard then ships:
-    /// the rotations land in each shipment's trailing skip (gap stamps are
-    /// taken eagerly at push time, so buffered items keep their pre-advance
-    /// positions) and each worker executes its closed-form `skip` *now*, in
-    /// parallel, instead of at its next ingest. Zero rotations — within a
-    /// grain, or while records run ahead of schedule — touch nothing: no
-    /// shipment, no worker wakeup. Non-monotone `t` clamps per the clock
-    /// policy.
-    ///
-    /// # Panics
-    /// Panics unless the engine was built with [`Self::with_grain_clock`].
-    pub fn advance_to(&mut self, t: u64) {
-        let clock = self
-            .clock
-            .as_mut()
-            .expect("advance_to requires an engine built with with_grain_clock(map)");
-        let mut state = self.state.lock().expect("router state poisoned");
-        let rotations = clock.observe(t, state.position());
-        if rotations > 0 {
-            state.advance(rotations);
-            self.ship_all(&mut state);
-        }
     }
 
     /// A handle answering the query traits from the latest published
@@ -376,29 +329,41 @@ impl<A: Shard> Engine<A> {
         self.hub.latest().expect("publish_now published an epoch")
     }
 
-    /// Routes one item (the ingest traits' `update`). `&mut self` rules out
-    /// concurrent queries, so holding the router lock across a (possibly
-    /// blocking) ship cannot deadlock.
-    pub(crate) fn route(&mut self, item: A::Item) {
+    /// Routes one item. `&mut self` rules out concurrent queries, so
+    /// holding the router lock across a (possibly blocking) ship cannot
+    /// deadlock.
+    ///
+    /// # Panics
+    /// Panics with "update: the stream position overflows u64" when the
+    /// global stream position is already `u64::MAX`, before any state
+    /// changes.
+    pub fn update(&mut self, item: A::Item) {
         let shard = fasthash::route(&item, self.workers.len());
-        self.push(&mut self.lock(), shard, item);
+        let mut state = self.lock();
+        state.assert_room([1], "update");
+        self.push(&mut state, shard, item);
     }
 
-    /// Routes a batch (the ingest traits' `update_batch`), shipping each
-    /// shard's share in flush-threshold-sized gap-stamped messages in
-    /// per-shard arrival order (the order across shards is immaterial:
-    /// shards are disjoint item sets and the gap stamps carry the exact
-    /// cross-shard positions). Items beyond the last full message stay
-    /// buffered until the next update or query.
+    /// Routes a batch, shipping each shard's share in flush-threshold-sized
+    /// gap-stamped messages in per-shard arrival order (the order across
+    /// shards is immaterial: shards are disjoint item sets and the gap
+    /// stamps carry the exact cross-shard positions). Items beyond the last
+    /// full message stay buffered until the next update or query.
     ///
     /// Routes are computed tile-wise: a straight-line pass hashes a fixed
     /// tile of items into a stack array before the branchy push/ship loop
     /// consumes them, so the hashing pipelines ahead of the buffer
     /// bookkeeping instead of serializing with it. Push order — and with it
     /// every gap stamp — is exactly that of the per-item loop.
-    pub(crate) fn route_batch(&mut self, items: &[A::Item]) {
+    ///
+    /// # Panics
+    /// Panics with "update_batch: the stream position overflows u64" when
+    /// the batch would carry the global stream position past `u64::MAX`,
+    /// before any state changes.
+    pub fn update_batch(&mut self, items: &[A::Item]) {
         const TILE: usize = 64;
         let mut state = self.lock();
+        state.assert_room([items.len() as u64], "update_batch");
         let mut routes = [0usize; TILE];
         for tile in items.chunks(TILE) {
             for (route, item) in routes.iter_mut().zip(tile) {
@@ -410,20 +375,27 @@ impl<A: Shard> Engine<A> {
         }
     }
 
-    /// Routes a gap-stamped batch (the ingest traits'
-    /// `update_batch_positioned`): before each item, the *global* stream
-    /// position advances over its gap. This is the time plane's ingest path
-    /// and much cheaper than the traits' default: because the router
-    /// stamps each entry's gap eagerly at push time, advancing the router
-    /// mid-batch folds the gap into the *next* entry's stamp on every shard
-    /// — no shipment per gap, no per-gap worker wakeup. Shards that receive
-    /// no item after a gap are advanced by the trailing skip of their next
-    /// shipment, as always. Observable behaviour is exactly the traits'
-    /// contract: `skip(gaps[i]); update(items[i])` in order.
-    pub(crate) fn route_positioned(&mut self, gaps: &[u64], items: &[A::Item]) {
+    /// Routes a gap-stamped batch: before each item, the *global* stream
+    /// position advances over its gap. Much cheaper than the [`Ingest`]
+    /// default: because the router stamps each entry's gap eagerly at push
+    /// time, advancing the router mid-batch folds the gap into the *next*
+    /// entry's stamp on every shard — no shipment per gap, no per-gap
+    /// worker wakeup. Shards that receive no item after a gap are advanced
+    /// by the trailing skip of their next shipment, as always. Observable
+    /// behaviour is exactly the trait's contract: `skip(gaps[i]);
+    /// update(items[i])` in order.
+    ///
+    /// # Panics
+    /// Panics unless `gaps.len() == items.len()`, and with
+    /// "update_batch_positioned: the stream position overflows u64" when
+    /// the gaps and items would carry the global stream position past
+    /// `u64::MAX`; both before any state changes.
+    pub fn update_batch_positioned(&mut self, gaps: &[u64], items: &[A::Item]) {
         assert_eq!(gaps.len(), items.len(), "one gap stamp per item");
         const TILE: usize = 64;
         let mut state = self.lock();
+        let span = gaps.iter().copied().chain([items.len() as u64]);
+        state.assert_room(span, "update_batch_positioned");
         let mut routes = [0usize; TILE];
         for (tile, tile_gaps) in items.chunks(TILE).zip(gaps.chunks(TILE)) {
             for (route, item) in routes.iter_mut().zip(tile) {
@@ -439,12 +411,19 @@ impl<A: Shard> Engine<A> {
     }
 
     /// Advances the global stream position over `n` packets observed
-    /// outside this engine (the ingest traits' `skip`). Pending buffers ship
-    /// first so already-routed items keep their pre-skip positions; the
-    /// advance then reaches the shards through the gap stamps of their next
-    /// shipments.
-    pub(crate) fn skip_positions(&mut self, n: u64) {
+    /// outside this engine — by another engine of a larger deployment, or
+    /// as the rotations of a [`TimedWindow`](memento_core::TimedWindow)
+    /// wrapping it. Pending buffers ship first so already-routed items keep
+    /// their pre-skip positions; the advance then reaches the shards
+    /// through the gap stamps or trailing skips of their next shipments.
+    ///
+    /// # Panics
+    /// Panics with "skip: the stream position overflows u64" when the
+    /// advance would carry the global stream position past `u64::MAX`,
+    /// before any state changes.
+    pub fn skip(&mut self, n: u64) {
         let mut state = self.lock();
+        state.assert_room([n], "skip");
         self.ship_all(&mut state);
         state.advance(n);
     }
@@ -457,6 +436,25 @@ impl<A: Shard> Engine<A> {
             .iter()
             .map(|worker| worker.call(|algorithm: &mut A| algorithm.space_bytes()))
             .sum()
+    }
+}
+
+/// The inherent methods, written once for every shard type.
+impl<A: Shard> Ingest<A::Item> for Engine<A> {
+    fn update(&mut self, item: A::Item) {
+        Engine::update(self, item);
+    }
+
+    fn update_batch(&mut self, items: &[A::Item]) {
+        Engine::update_batch(self, items);
+    }
+
+    fn update_batch_positioned(&mut self, gaps: &[u64], items: &[A::Item]) {
+        Engine::update_batch_positioned(self, gaps, items);
+    }
+
+    fn skip(&mut self, n: u64) {
+        Engine::skip(self, n);
     }
 }
 

@@ -18,8 +18,8 @@ pub type BoxedEstimator<K> = Box<dyn SlidingWindowEstimator<K> + Send>;
 /// heavy-hitter queries are the union of the per-shard answers (see
 /// [`EngineSnapshot`]). The engine implements [`SlidingWindowEstimator`]
 /// itself, so every generic driver in the workspace — the figure
-/// harnesses, the detection disciplines, the flood-mitigation scenario —
-/// can run sharded without modification.
+/// harnesses, the detection disciplines, the flood-mitigation scenario,
+/// the time plane — can run sharded without modification.
 pub type ShardedEstimator<K> = Engine<BoxedEstimator<K>>;
 
 /// A [`Reader`] of a [`ShardedEstimator`]'s snapshots.
@@ -34,7 +34,7 @@ impl<K: Eq + Hash + Clone + Send + Sync + 'static> Shard for BoxedEstimator<K> {
 
     fn assert_shardable(&self) {
         assert!(
-            self.mergeable(),
+            !self.is_interval(),
             "{} cannot answer global-position window queries across key partitions \
              (its skip cannot anchor a shard's window at the global stream position); \
              it cannot be sharded",
@@ -136,29 +136,6 @@ impl<K: Eq + Hash + Clone + Send + Sync + 'static> ShardedEstimator<K> {
 impl<K: Eq + Hash + Clone + Send + Sync + 'static> SlidingWindowEstimator<K>
     for ShardedEstimator<K>
 {
-    fn update(&mut self, key: K) {
-        self.route(key);
-    }
-
-    /// Routes the batch tile-wise and ships each shard's share in
-    /// gap-stamped messages (see the engine's batch routing).
-    fn update_batch(&mut self, keys: &[K]) {
-        self.route_batch(keys);
-    }
-
-    /// Advances the *global* stream position over each key's gap at
-    /// routing time, folding it into the next gap stamp on every shard
-    /// instead of shipping per gap (the time plane's ingest path).
-    fn update_batch_positioned(&mut self, gaps: &[u64], keys: &[K]) {
-        self.route_positioned(gaps, keys);
-    }
-
-    /// Advances the global stream position over `n` packets observed
-    /// outside this engine (e.g. by another engine of a larger deployment).
-    fn skip(&mut self, n: u64) {
-        self.skip_positions(n);
-    }
-
     fn space_bytes(&self) -> usize {
         self.total_space_bytes()
     }
@@ -168,7 +145,7 @@ impl<K: Eq + Hash + Clone + Send + Sync + 'static> SlidingWindowEstimator<K>
 mod tests {
     use super::*;
     use crate::{HhhEngineSnapshot, PublishPolicy, ShardedHhh};
-    use memento_core::{GrainMap, HMemento, HhhQuery, WindowQuery};
+    use memento_core::{GrainMap, HMemento, HhhQuery, TimedWindow, WindowQuery};
     use memento_hierarchy::{Prefix1D, SrcHierarchy};
     use memento_sketches::fasthash;
 
@@ -305,13 +282,13 @@ mod tests {
                 .map(|i| [0, 0, 1, 0, 7, 0, 0, 350][i % 8])
                 .collect();
             for (gap_part, item_part) in gaps.chunks(997).zip(items.chunks(997)) {
-                positioned.route_positioned(gap_part, item_part);
+                positioned.update_batch_positioned(gap_part, item_part);
             }
             for (&gap, item) in gaps.iter().zip(items) {
                 if gap > 0 {
-                    interleaved.skip_positions(gap);
+                    interleaved.skip(gap);
                 }
-                interleaved.route(item.clone());
+                interleaved.update(item.clone());
             }
             positioned.publish_now();
             interleaved.publish_now();
@@ -393,7 +370,7 @@ mod tests {
     #[test]
     fn unchanged_engine_republishes_without_freezing() {
         fn check<A: Probe>(mut engine: Engine<A>, items: &[A::Item]) {
-            engine.route_batch(items);
+            engine.update_batch(items);
             let e1 = engine.publish_now();
             let rounds = engine.freeze_rounds();
             let (_, processed, estimates) = latest(&engine);
@@ -407,14 +384,14 @@ mod tests {
             // The restamped snapshot carries the new epoch and the old answers.
             assert_eq!(latest(&engine), (e3, processed, estimates));
             // Any ingest — even a single packet — re-arms the real freeze path.
-            engine.route(items[1].clone());
+            engine.update(items[1].clone());
             let e4 = engine.publish_now();
             assert!(e4 > e3);
             assert!(engine.freeze_rounds() > rounds, "ingest must re-freeze");
             assert_eq!(latest(&engine).1, processed + 1);
             // A bare position advance (skip) also counts as a change.
             let rounds = engine.freeze_rounds();
-            engine.skip_positions(5_000);
+            engine.skip(5_000);
             engine.publish_now();
             assert!(engine.freeze_rounds() > rounds, "skip must re-freeze");
             assert_eq!(latest(&engine).1, processed + 5_001);
@@ -427,27 +404,27 @@ mod tests {
 
     #[test]
     fn engine_advance_to_expires_by_time() {
-        // Two windows of idle ticks must expire everything on every shard
-        // down to `residue`, with the rotations shipped by `advance_to`
-        // itself (no ingest afterwards to piggyback on).
+        // The engine's time plane is a `TimedWindow` around it. Two windows
+        // of idle ticks must expire everything on every shard down to
+        // `residue`, with the rotations carried by `advance_to` alone: no
+        // ingest follows, so the publication ships them as trailing skips.
         fn check<A: Probe>(engine: Engine<A>, window: u64, items: &[A::Item], residue: f64) {
             let map = GrainMap::new(100 * window, window, 8);
-            let mut engine = engine.with_grain_clock(map);
+            let mut timed = TimedWindow::new(engine, map);
             let hottest = |engine: &Engine<A>| {
                 engine.publish_now();
                 latest(engine).2.into_iter().fold(0.0, f64::max)
             };
-            engine.advance_to(5);
+            timed.advance_to(5);
             for item in items {
-                engine.route(item.clone());
+                timed.record_at(item.clone(), 5);
             }
-            assert!(hottest(&engine) > residue);
-            engine.advance_to(5 + 2 * map.window_ticks());
-            let left = hottest(&engine);
+            assert!(hottest(timed.inner()) > residue);
+            timed.advance_to(5 + 2 * map.window_ticks());
+            let left = hottest(timed.inner());
             assert!(left <= residue, "{left} survived the gap");
             // The one clock observed the schedule.
-            let clock = engine.grain_clock().expect("clock configured");
-            assert_eq!(clock.last_tick(), 5 + 2 * map.window_ticks());
+            assert_eq!(timed.clock().last_tick(), 5 + 2 * map.window_ticks());
         }
         let keys: Vec<u64> = (0..400u64).map(|i| i % 13).collect();
         check(ShardedEstimator::exact(2, 400), 400, &keys, 0.0);
@@ -456,50 +433,75 @@ mod tests {
         check(hhh, 4_000, &hosts(4_000), 0.25 * 4_000.0);
     }
 
-    #[test]
-    fn engine_advance_to_matches_wrapped_timed_window() {
-        // The engine-level time plane must agree with wrapping the whole
-        // engine in a `TimedWindow` — same grain geometry, same advance
-        // points, same clamp policy — at 1, 2 and 4 shards.
-        use memento_core::TimedWindow;
-        let window = 600usize;
-        let map = GrainMap::new(3_000, window as u64, 12);
-        for shards in [1usize, 2, 4] {
-            let mut engine: ShardedEstimator<u64> =
-                ShardedEstimator::exact(shards, window).with_grain_clock(map);
-            let mut wrapped = TimedWindow::new(ShardedEstimator::<u64>::exact(shards, window), map);
-            let mut t = 0u64;
-            for step in 0..60u64 {
-                t += (step * 37) % 450; // in-grain repeats and multi-grain jumps
-                let sample_t = if step % 9 == 8 {
-                    t.saturating_sub(700)
-                } else {
-                    t
-                };
-                let keys: Vec<u64> = (0..(step % 7 + 1)).map(|i| (step * 11 + i) % 29).collect();
-                engine.advance_to(sample_t);
-                engine.update_batch(&keys);
-                wrapped.record_batch_at(&keys, sample_t);
-            }
-            for key in 0..29u64 {
-                assert_eq!(
-                    engine.estimate(&key),
-                    wrapped.estimate(&key),
-                    "key {key} diverged at {shards} shards"
-                );
-            }
-            let engine_clock = engine.grain_clock().expect("clock configured");
-            assert_eq!(engine_clock.last_tick(), wrapped.clock().last_tick());
-            assert_eq!(engine_clock.clamped(), wrapped.clock().clamped());
-            assert!(engine_clock.clamped() > 0, "test must exercise the clamp");
+    /// The engines of the overflow tests, one over exact shards and one
+    /// over a Memento shard, at global position `u64::MAX` after one update
+    /// and a skip of `u64::MAX - 1`.
+    fn at_u64_max() -> [ShardedEstimator<u64>; 2] {
+        let mut engines = [
+            ShardedEstimator::exact(2, 64),
+            ShardedEstimator::memento(1, 64, 100, 1.0, 7),
+        ];
+        for engine in &mut engines {
+            engine.update(1);
+            engine.skip(u64::MAX - 1);
         }
+        engines
     }
 
     #[test]
-    #[should_panic(expected = "with_grain_clock")]
-    fn advance_to_without_clock_panics() {
-        let mut sharded: ShardedEstimator<u64> = ShardedEstimator::exact(1, 100);
-        sharded.advance_to(5);
+    fn skip_landing_exactly_on_u64_max_still_works() {
+        let [mut exact, memento] = at_u64_max();
+        assert_eq!(memento.processed(), u64::MAX);
+        assert_eq!(exact.processed(), u64::MAX);
+        assert_eq!(exact.estimate(&1), 0.0);
+        exact.update_batch(&[]);
+        exact.skip(0);
+        assert_eq!(exact.processed(), u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "update: the stream position overflows u64")]
+    fn update_past_u64_max_panics_on_exact_shards() {
+        let [mut exact, _] = at_u64_max();
+        exact.update(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "update: the stream position overflows u64")]
+    fn update_past_u64_max_panics_on_memento_shards() {
+        let [_, mut memento] = at_u64_max();
+        memento.update(2);
+        memento.update(3);
+        let _ = memento.processed();
+    }
+
+    #[test]
+    fn every_entry_point_refuses_to_pass_u64_max() {
+        type Call = fn(&mut ShardedEstimator<u64>);
+        let calls: [(&str, Call); 5] = [
+            ("update", |e| e.update(2)),
+            ("update_batch", |e| e.update_batch(&[2])),
+            ("update_batch_positioned", |e| {
+                e.update_batch_positioned(&[0], &[2])
+            }),
+            // Only the second gap passes u64::MAX: the whole span is
+            // checked before the first item routes.
+            ("update_batch_positioned", |e| {
+                e.update_batch_positioned(&[0, u64::MAX], &[2, 3])
+            }),
+            ("skip", |e| e.skip(1)),
+        ];
+        for (caller, call) in calls {
+            for mut engine in at_u64_max() {
+                let panic =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| call(&mut engine)))
+                        .expect_err(caller);
+                assert_eq!(
+                    panic.downcast_ref::<String>().map(String::as_str),
+                    Some(format!("{caller}: the stream position overflows u64").as_str()),
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Hierarchical heavy hitters on the sharded [`Engine`].
 
-use memento_core::traits::HhhAlgorithm;
+use memento_core::traits::{HhhAlgorithm, Ingest};
 use memento_core::{FrozenHhh, HMemento};
 use memento_hierarchy::Hierarchy;
 
@@ -105,29 +105,6 @@ where
     Hi::Item: Send + 'static,
     Hi::Prefix: Send + Sync + 'static,
 {
-    fn update(&mut self, item: Hi::Item) {
-        self.route(item);
-    }
-
-    /// Routes the batch tile-wise and ships each shard's share in
-    /// gap-stamped messages (see the engine's batch routing).
-    fn update_batch(&mut self, items: &[Hi::Item]) {
-        self.route_batch(items);
-    }
-
-    /// Advances the *global* stream position over each item's gap at
-    /// routing time, folding it into the next gap stamp on every shard
-    /// instead of shipping per gap.
-    fn update_batch_positioned(&mut self, gaps: &[u64], items: &[Hi::Item]) {
-        self.route_positioned(gaps, items);
-    }
-
-    /// Advances the global stream position over `n` packets observed
-    /// outside this engine.
-    fn skip(&mut self, n: u64) {
-        self.skip_positions(n);
-    }
-
     fn space_bytes(&self) -> usize {
         self.total_space_bytes()
     }

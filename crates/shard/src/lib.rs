@@ -1,13 +1,20 @@
 //! # memento-shard
 //!
 //! Multi-core sharding engine for the Memento reproduction: one [`Engine`]
-//! scales any mergeable
+//! scales any sliding-window
 //! [`SlidingWindowEstimator`](memento_core::traits::SlidingWindowEstimator)
 //! ([`ShardedEstimator`]) or H-Memento
 //! ([`HMemento`](memento_core::HMemento), [`ShardedHhh`]) across worker
 //! threads while answering the *same* window queries through the *same*
-//! object-safe traits. The engine is written once; the small [`Shard`]
-//! trait names what the two kinds of algorithm do differently.
+//! object-safe traits. The engine is written once: it implements the one
+//! ingest contract, [`Ingest`](memento_core::Ingest), through its inherent
+//! `update` / `update_batch` / `update_batch_positioned` / `skip`, and the
+//! small [`Shard`] trait names what the two kinds of algorithm do
+//! differently. Interval algorithms
+//! ([`is_interval`](memento_core::Ingest::is_interval)) are refused at
+//! construction. Time-based windows come from wrapping an engine in a
+//! [`TimedWindow`](memento_core::TimedWindow), the workspace's one time
+//! plane: its rotations reach every shard through the engine's `skip`.
 //!
 //! The paper's headline result is line-rate single-core processing (§5); the
 //! system this reproduction grows toward also has to scale *out* when one
@@ -22,7 +29,7 @@
 //!   stream position**: the router stamps every key with the *gap* — how
 //!   many packets went to other shards since that shard's previous key —
 //!   and the worker replays
-//!   [`skip(gap)`](memento_core::traits::SlidingWindowEstimator::skip)
+//!   [`skip(gap)`](memento_core::Ingest::skip)
 //!   before each key through the fused
 //!   `update_batch_positioned` path, the D-Memento-style bulk window
 //!   update of the Memento paper (§6). The skips are **closed-form** —
@@ -43,7 +50,7 @@
 //!   candidates are collected at `θ/N` per shard and re-validated against
 //!   the global `θ·W` bar).
 //!
-//! ## The query plane (PR 7, incremental since PR 8)
+//! ## The query plane
 //!
 //! Queries no longer piggyback on the per-shard update FIFOs. Instead the
 //! engine runs a **snapshot publication pipeline** ([`PublishPolicy`]):
@@ -71,7 +78,6 @@
 //!
 //! ```
 //! use memento_core::WindowQuery;
-//! use memento_core::traits::SlidingWindowEstimator;
 //! use memento_shard::ShardedEstimator;
 //!
 //! // A window of 40_000 packets split over 4 worker threads.

@@ -75,13 +75,15 @@ impl<T> Router<T> {
         self.routed += n;
     }
 
-    /// The current global stream position: every packet routed plus every
-    /// position injected via [`Self::advance`]. The engine-level time
-    /// plane reads this to feed its grain clocks without forcing a
-    /// snapshot publication (unlike `processed()`, which reads the
-    /// published snapshot).
-    pub(crate) fn position(&self) -> u64 {
-        self.routed
+    /// Panics, naming `caller`, unless the global stream position can move
+    /// over every span in `spans` without passing `u64::MAX` — the check
+    /// each engine entry point makes once, before any state changes, so
+    /// that [`Self::push`] and [`Self::advance`] never overflow.
+    pub(crate) fn assert_room(&self, spans: impl IntoIterator<Item = u64>, caller: &str) {
+        let end = spans
+            .into_iter()
+            .try_fold(self.routed, |position, span| position.checked_add(span));
+        assert!(end.is_some(), "{caller}: the stream position overflows u64");
     }
 }
 

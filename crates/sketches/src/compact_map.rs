@@ -531,10 +531,9 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
         // over the remaining head slots computes its end through the
         // runtime mask so its trip count stays opaque to the optimizer:
         // rolled, the loop has a single key-hit site, and LLVM fuses the
-        // caller's entry access (`slot_value`, `get`'s value load)
-        // straight into it — unrolled, the hit sites all join in one
-        // block that re-checks the entry and costs the fast path a
-        // measurable couple of cycles.
+        // caller's entry access (`get`'s value load) straight into it —
+        // unrolled, the hit sites all join in one block that re-checks
+        // the entry and costs the fast path a measurable couple of cycles.
         let c = self.ctrl[home];
         if c == fp {
             if let Some((k, _)) = &self.entries[home] {
@@ -626,16 +625,6 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
             }
             i = (i + 1) & self.mask;
         }
-    }
-
-    /// Value stored in `slot` (as returned by [`Self::probe`] /
-    /// [`Self::probe_reference`]), if the slot is occupied. Exposed
-    /// `#[doc(hidden)]` so the benches can pay the same entries touch
-    /// after either scan without a second probe.
-    #[doc(hidden)]
-    #[inline]
-    pub fn slot_value(&self, slot: usize) -> Option<&V> {
-        self.entries[slot].as_ref().map(|(_, v)| v)
     }
 
     /// First [`EMPTY`] slot at or cyclically after `home`, by the same

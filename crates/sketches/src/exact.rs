@@ -127,8 +127,15 @@ impl<K: Eq + Hash + Clone> ExactWindow<K> {
 
     /// Records one occurrence of `key` at the next stream position,
     /// expiring whatever leaves the last `W` positions.
+    ///
+    /// # Panics
+    /// Panics with "add: the stream position overflows u64" when the
+    /// stream position is already `u64::MAX`, before any state changes.
     pub fn add(&mut self, key: K) {
-        self.processed += 1;
+        self.processed = self
+            .processed
+            .checked_add(1)
+            .expect("add: the stream position overflows u64");
         self.ring.push_back((self.processed, key.clone()));
         *self.counts.get_or_insert_with(key, || 0) += 1;
         self.evict_expired();
@@ -146,8 +153,16 @@ impl<K: Eq + Hash + Clone> ExactWindow<K> {
     /// ring and the count table are cleared wholesale — `O(distinct keys)`
     /// instead of `W` per-slot pops with a hash-table decrement each, and
     /// `O(1)` once the ring is empty.
+    ///
+    /// # Panics
+    /// Panics with "skip: the stream position overflows u64" when the
+    /// advance would carry the stream position past `u64::MAX`, before any
+    /// state changes.
     pub fn skip(&mut self, n: u64) {
-        self.processed += n;
+        self.processed = self
+            .processed
+            .checked_add(n)
+            .expect("skip: the stream position overflows u64");
         let horizon = self.processed.saturating_sub(self.window as u64);
         match self.ring.back() {
             None => {}
@@ -494,6 +509,38 @@ mod tests {
         w.skip(4);
         assert_eq!(w.occupancy(), 0);
         assert_eq!(w.distinct(), 0);
+    }
+
+    /// One add and a skip of `u64::MAX - 1`: the stream at `u64::MAX`.
+    fn window_at_u64_max() -> ExactWindow<u64> {
+        let mut w = ExactWindow::new(4);
+        w.add(7);
+        w.skip(u64::MAX - 1);
+        w
+    }
+
+    #[test]
+    fn skip_landing_exactly_on_u64_max_still_works() {
+        let mut w = window_at_u64_max();
+        assert_eq!(w.processed(), u64::MAX);
+        assert_eq!(w.query(&7), 0);
+        assert_eq!(w.occupancy(), 0);
+        w.skip(0);
+        assert_eq!(w.processed(), u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "add: the stream position overflows u64")]
+    fn add_past_u64_max_panics() {
+        let mut w = window_at_u64_max();
+        w.add(7);
+    }
+
+    #[test]
+    #[should_panic(expected = "skip: the stream position overflows u64")]
+    fn skip_past_u64_max_panics() {
+        let mut w = window_at_u64_max();
+        w.skip(1);
     }
 
     /// Interleaved add/skip matches a naive model that materializes the

@@ -11,7 +11,7 @@
 //! window and Space Saving.
 
 use memento::sketches::SpaceSaving;
-use memento::traits::SlidingWindowEstimator;
+use memento::traits::{Ingest, SlidingWindowEstimator};
 use memento::{DeltaWindow, FrozenWindow, WindowQuery};
 use proptest::prelude::*;
 
@@ -165,7 +165,7 @@ fn space_saving_delta_freeze_matches_full_freeze() {
         for i in 0..500u64 {
             // Skewed keys so the summary churns through its 8 slots.
             let key = (i * i * (round + 1)) % UNIVERSE;
-            SlidingWindowEstimator::update(&mut est, key);
+            Ingest::update(&mut est, key);
             if i % 61 == 0 {
                 delta.apply(&est.freeze_delta());
                 assert_bitwise_equal(&delta, &est.freeze(), (round * 500 + i) as usize);

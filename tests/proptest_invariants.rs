@@ -6,7 +6,7 @@ use memento::hierarchy::prefix::BYTE_PREFIX_LENGTHS;
 use memento::hierarchy::{exact_hhh, Hierarchy};
 use memento::lb::{AclAction, AclTable};
 use memento::sketches::ExactWindow;
-use memento::traits::SlidingWindowEstimator;
+use memento::traits::Ingest;
 use memento::WindowQuery;
 use memento::{HMemento, Memento, Prefix1D, SrcHierarchy, Wcss};
 use proptest::prelude::*;
@@ -121,7 +121,7 @@ proptest! {
         let mut one_by_one = Wcss::new(counters, window);
         let mut batched = Wcss::new(counters, window);
         for &x in &stream {
-            SlidingWindowEstimator::update(&mut one_by_one, x);
+            Ingest::update(&mut one_by_one, x);
         }
         for part in stream.chunks(chunk) {
             batched.update_batch(part);
@@ -142,7 +142,7 @@ proptest! {
         let mut exact_one: ExactWindow<u64> = ExactWindow::new(window);
         let mut exact_batch: ExactWindow<u64> = ExactWindow::new(window);
         for &x in &stream {
-            SlidingWindowEstimator::update(&mut exact_one, x);
+            Ingest::update(&mut exact_one, x);
         }
         for part in stream.chunks(chunk) {
             exact_batch.update_batch(part);

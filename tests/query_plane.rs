@@ -14,10 +14,7 @@
 //!   identically at every query point.
 
 use memento::sketches::fasthash;
-use memento::traits::SlidingWindowEstimator;
-use memento::{
-    HhhAlgorithm, HhhQuery, PublishPolicy, ShardedEstimator, ShardedHhh, SrcHierarchy, WindowQuery,
-};
+use memento::{HhhQuery, PublishPolicy, ShardedEstimator, ShardedHhh, SrcHierarchy, WindowQuery};
 use proptest::prelude::*;
 
 /// The shard counts the acceptance criteria call out.

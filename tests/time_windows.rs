@@ -6,15 +6,16 @@
 //! grain-boundary off-by-ones) and the PR 8 residual (`freeze_delta`
 //! across a time-advance that degrades the journal to a rebuild).
 //!
-//! PR 10 extends the suite with the chunked-ingest differentials: the
+//! The suite also pins the chunked-ingest differential: the
 //! run-structured `record_timed` (one clock consult per same-grain run)
-//! against per-packet `record_at`, and the engine-level
-//! `ShardedEstimator::advance_to` against the `TimedWindow` wrapper.
+//! against per-packet `record_at`. H-Memento rides the same time plane as
+//! the estimators and is pinned against its own skip schedule.
 
 use memento::sketches::{ExactTimedWindow, ExactWindow};
 use memento::traits::SlidingWindowEstimator;
 use memento::{
-    DeltaWindow, GrainClock, GrainMap, Memento, ShardedEstimator, TimedWindow, Wcss, WindowQuery,
+    DeltaWindow, GrainClock, GrainMap, HMemento, HhhQuery, Memento, Prefix1D, ShardedEstimator,
+    SrcHierarchy, TimedWindow, Wcss, WindowQuery,
 };
 use proptest::prelude::*;
 
@@ -107,10 +108,6 @@ where
     }
 }
 
-/// A labelled engine constructor for the engine-vs-wrapper differential
-/// test, which builds each engine twice (once bare, once wrapped).
-type EngineCtor = (&'static str, Box<dyn Fn() -> ShardedEstimator<u64>>);
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(8)))]
 
@@ -147,7 +144,9 @@ proptest! {
     }
 
     /// WCSS (τ = 1): the same three-way equivalence on the deterministic
-    /// reference algorithm, including the batched `record_timed` ingest.
+    /// reference algorithm, including the batched `record_timed` ingest —
+    /// and H-Memento at τ = 1 through the same `record_timed` ingest
+    /// against its skip schedule, on every /8 and on `output(θ)`.
     #[test]
     fn wcss_advance_equals_skip_equals_window_updates(
         raw in prop::collection::vec((0u64..10, 0u64..UNIVERSE), 100..1_200),
@@ -173,6 +172,42 @@ proptest! {
         prop_assert_eq!(timed.position(), Wcss::processed(&skipped));
         assert_estimates_equal(&timed, &skipped, "timed vs skip schedule");
         assert_estimates_equal(&skipped, &stepped, "skip vs window_update");
+
+        // H-Memento over the same arrivals, each key a host in its own /8.
+        let hosts: Vec<(u64, u32)> = packets
+            .iter()
+            .map(|&(t, key)| (t, u32::from_be_bytes([key as u8, (key * 7) as u8, 0, 1])))
+            .collect();
+        let h_memento = || HMemento::new(SrcHierarchy, 64, window, 1.0, 0.01, 3);
+        let mut timed_hhh = TimedWindow::new(h_memento(), map);
+        for part in hosts.chunks(chunk) {
+            timed_hhh.record_timed(part);
+        }
+        let mut skipped_hhh = h_memento();
+        let mut clock = GrainClock::new(map);
+        let mut position = 0;
+        for &(t, host) in &hosts {
+            let n = clock.observe(t, position);
+            if n > 0 {
+                skipped_hhh.skip(n);
+            }
+            skipped_hhh.update(host);
+            position += n + 1;
+        }
+        prop_assert_eq!(timed_hhh.position(), skipped_hhh.processed());
+        for a in 0..=255u32 {
+            let subnet = Prefix1D::new(a << 24, 8);
+            prop_assert_eq!(
+                HhhQuery::<SrcHierarchy>::estimate(&timed_hhh, &subnet).to_bits(),
+                skipped_hhh.estimate(&subnet).to_bits()
+            );
+        }
+        for theta in [0.05, 0.2, 0.5] {
+            prop_assert_eq!(
+                HhhQuery::<SrcHierarchy>::output(&timed_hhh, theta),
+                skipped_hhh.output(theta)
+            );
+        }
     }
 
     /// Exact window: `advance_to(t)` ≡ the skip schedule (position-stamped
@@ -349,59 +384,6 @@ proptest! {
             &manual,
             "chunked vs per-packet observe schedule (τ < 1)",
         );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(4)))]
-
-    /// PR 10 engine time plane: a `ShardedEstimator` built with
-    /// `with_grain_clock` and driven by `advance_to(t)` + `update_batch`
-    /// answers bit-for-bit like the same engine wrapped in a `TimedWindow`
-    /// and fed `record_batch_at` — exact and WCSS at N ∈ {1, 2, 4}, with
-    /// non-monotone batch timestamps exercising the clamp on both sides.
-    #[test]
-    fn engine_advance_to_matches_timed_window_wrapper(
-        raw in prop::collection::vec((0u64..10, 0u64..UNIVERSE), 60..400),
-        grains_exp in 0u32..3,
-    ) {
-        let window = 800usize;
-        let grains = 1u64 << (2 * grains_exp);
-        let map = GrainMap::new(560, window as u64, grains);
-        let packets = decode_timed(&raw, map.grain_span());
-        let batches: Vec<(u64, Vec<u64>)> = packets
-            .chunks(3)
-            .enumerate()
-            .map(|(i, part)| {
-                let t = if i % 7 == 6 {
-                    part[0].0.saturating_sub(map.grain_span() + 3)
-                } else {
-                    part[0].0
-                };
-                (t, part.iter().map(|&(_, k)| k).collect())
-            })
-            .collect();
-
-        for shards in [1usize, 2, 4] {
-            let engines: [EngineCtor; 2] = [
-                ("exact", Box::new(move || ShardedEstimator::exact(shards, window))),
-                ("wcss", Box::new(move || ShardedEstimator::wcss(shards, 16, window))),
-            ];
-            for (name, make) in &engines {
-                let mut engine = make().with_grain_clock(map);
-                let mut wrapped = TimedWindow::new(make(), map);
-                for (t, keys) in &batches {
-                    engine.advance_to(*t);
-                    engine.update_batch(keys);
-                    wrapped.record_batch_at(keys, *t);
-                }
-                let context = format!("{name}@{shards}");
-                assert_estimates_equal(&engine, &wrapped, &context);
-                let clock = engine.grain_clock().expect("clock configured");
-                prop_assert_eq!(clock.last_tick(), wrapped.clock().last_tick());
-                prop_assert_eq!(clock.clamped(), wrapped.clock().clamped());
-            }
-        }
     }
 }
 

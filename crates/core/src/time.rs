@@ -407,7 +407,6 @@ impl<T: Clone, A: Ingest<T>> TimedWindow<T, A> {
             }
             keys.clear();
             keys.push(key.clone());
-            self.position += 1;
             i += 1;
             // Tail of the run: zero rotations until the grain ends.
             let end = self.clock.grain_end_tick();
@@ -418,10 +417,13 @@ impl<T: Clone, A: Ingest<T>> TimedWindow<T, A> {
                 }
                 self.clock.note_in_grain(*t);
                 keys.push(key.clone());
-                self.position += 1;
                 i += 1;
             }
+            // The mirror moves only once the inner algorithm has accepted
+            // the run, so a run past `u64::MAX` panics with the inner
+            // check's named message and leaves the mirror where it was.
             self.inner.update_batch(&keys);
+            self.position += keys.len() as u64;
         }
     }
 
@@ -618,6 +620,26 @@ mod tests {
             );
         }
         assert_eq!(batched.position(), one_by_one.position());
+    }
+
+    #[test]
+    fn record_timed_past_u64_max_panics_with_the_inner_message() {
+        use crate::memento::Memento;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut timed = TimedWindow::new(
+            Memento::<u64>::new(64, 400, 1.0, 7),
+            GrainMap::new(100, 400, 100),
+        );
+        timed.record_at(1, 0);
+        timed.advance_to(u64::MAX);
+        assert_eq!(timed.position(), u64::MAX);
+        let panic = catch_unwind(AssertUnwindSafe(|| timed.record_timed(&[(u64::MAX, 2)])))
+            .expect_err("a run past u64::MAX must panic");
+        assert_eq!(
+            panic.downcast_ref::<String>().map(String::as_str),
+            Some("update_batch: the stream position overflows u64")
+        );
+        assert_eq!(timed.position(), u64::MAX);
     }
 
     #[test]

@@ -109,6 +109,16 @@ pub trait Shard: Send + Sized + 'static {
 /// generic driver in the workspace, and the time plane
 /// ([`TimedWindow`](memento_core::TimedWindow)), runs sharded without
 /// modification.
+///
+/// **After a panic under the router lock.** A panic raised while the
+/// router lock is held — an entry point's stream-position overflow check,
+/// or a shipment to a worker that has died — poisons the lock, and the
+/// engine cannot be used again. Every later call that takes the lock
+/// panics with "router state poisoned: PoisonError { .. }": the four
+/// ingest entry points, [`publish_now`](Self::publish_now), and the
+/// queries whenever they force a publication (always, under the default
+/// [`PublishPolicy::on_query`]). [`Reader`]s keep answering from the last
+/// published snapshot, and dropping the engine is clean.
 pub struct Engine<A: Shard> {
     name: &'static str,
     workers: Vec<ShardWorker<A>>,
@@ -297,6 +307,10 @@ impl<A: Shard> Engine<A> {
     /// epoch. This is the explicit synchronization point: after
     /// `publish_now` returns, every reader observes a snapshot at least
     /// this fresh.
+    ///
+    /// # Panics
+    /// Panics with "router state poisoned" after any panic under the
+    /// router lock (see the [type docs](Self)).
     pub fn publish_now(&self) -> u64 {
         let epoch = self.publish_epoch(&mut self.lock());
         self.hub.wait_published(epoch);
@@ -336,7 +350,8 @@ impl<A: Shard> Engine<A> {
     /// # Panics
     /// Panics with "update: the stream position overflows u64" when the
     /// global stream position is already `u64::MAX`, before any state
-    /// changes.
+    /// changes, and with "router state poisoned" after any panic under
+    /// the router lock, this one included (see the [type docs](Self)).
     pub fn update(&mut self, item: A::Item) {
         let shard = fasthash::route(&item, self.workers.len());
         let mut state = self.lock();
@@ -359,7 +374,9 @@ impl<A: Shard> Engine<A> {
     /// # Panics
     /// Panics with "update_batch: the stream position overflows u64" when
     /// the batch would carry the global stream position past `u64::MAX`,
-    /// before any state changes.
+    /// before any state changes, and with "router state poisoned" after
+    /// any panic under the router lock, this one included (see the [type
+    /// docs](Self)).
     pub fn update_batch(&mut self, items: &[A::Item]) {
         const TILE: usize = 64;
         let mut state = self.lock();
@@ -389,7 +406,9 @@ impl<A: Shard> Engine<A> {
     /// Panics unless `gaps.len() == items.len()`, and with
     /// "update_batch_positioned: the stream position overflows u64" when
     /// the gaps and items would carry the global stream position past
-    /// `u64::MAX`; both before any state changes.
+    /// `u64::MAX`; both before any state changes. Panics with "router
+    /// state poisoned" after any panic under the router lock, the overflow
+    /// one included (see the [type docs](Self)).
     pub fn update_batch_positioned(&mut self, gaps: &[u64], items: &[A::Item]) {
         assert_eq!(gaps.len(), items.len(), "one gap stamp per item");
         const TILE: usize = 64;
@@ -420,7 +439,9 @@ impl<A: Shard> Engine<A> {
     /// # Panics
     /// Panics with "skip: the stream position overflows u64" when the
     /// advance would carry the global stream position past `u64::MAX`,
-    /// before any state changes.
+    /// before any state changes, and with "router state poisoned", even
+    /// for `skip(0)`, after any panic under the router lock, this one
+    /// included (see the [type docs](Self)).
     pub fn skip(&mut self, n: u64) {
         let mut state = self.lock();
         state.assert_room([n], "skip");
@@ -475,7 +496,9 @@ impl<A: Shard> std::fmt::Debug for Engine<A> {
 /// with `on_query = false` they are stale by at most one publication
 /// interval. `processed` doubles as the drain barrier the throughput
 /// harnesses rely on: the forced publication's freeze jobs run after every
-/// shipped batch on every worker FIFO.
+/// shipped batch on every worker FIFO. A forced publication panics with
+/// "router state poisoned" after a panic under the router lock (see the
+/// [`Engine`] docs).
 impl<K: Clone, A: Shard> WindowQuery<K> for Engine<A>
 where
     A::Snapshot: WindowQuery<K>,

@@ -504,6 +504,55 @@ mod tests {
         }
     }
 
+    /// An overflow panic is raised under the router lock and poisons it:
+    /// every later call that takes the lock panics "router state
+    /// poisoned", queries included under the default on-query policy. A
+    /// reader taken earlier still answers from the last published
+    /// snapshot, and dropping the engine is clean.
+    #[test]
+    fn an_overflow_panic_poisons_the_engine_but_not_its_readers() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        type Call = fn(&mut ShardedEstimator<u64>);
+        let calls: [(&str, Call); 7] = [
+            ("update", |e| e.update(2)),
+            ("update_batch", |e| e.update_batch(&[])),
+            ("update_batch_positioned", |e| {
+                e.update_batch_positioned(&[], &[])
+            }),
+            ("skip", |e| e.skip(0)),
+            ("publish_now", |e| {
+                e.publish_now();
+            }),
+            ("processed", |e| {
+                e.processed();
+            }),
+            ("estimate", |e| {
+                e.estimate(&1);
+            }),
+        ];
+        for mut engine in at_u64_max() {
+            let epoch = engine.publish_now();
+            let reader = engine.reader();
+            let estimate = reader.estimate(&1);
+            catch_unwind(AssertUnwindSafe(|| engine.update(2)))
+                .expect_err("an update past u64::MAX must panic");
+            for (caller, call) in calls {
+                let panic = catch_unwind(AssertUnwindSafe(|| call(&mut engine))).expect_err(caller);
+                assert_eq!(
+                    panic.downcast_ref::<String>().map(String::as_str),
+                    Some("router state poisoned: PoisonError { .. }"),
+                    "{caller}"
+                );
+            }
+            let snapshot = reader.latest().expect("published before the panic");
+            assert_eq!(snapshot.epoch(), epoch);
+            assert_eq!(reader.processed(), u64::MAX);
+            assert_eq!(reader.estimate(&1).to_bits(), estimate.to_bits());
+            assert_eq!(engine.reader().processed(), u64::MAX);
+            drop(engine);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "shard count must be positive")]
     fn zero_shards_panic() {

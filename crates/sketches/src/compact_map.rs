@@ -9,29 +9,20 @@
 //!   7-bit *fingerprint* of its key's hash live in a dense `Vec<u8>`, so
 //!   a probe sequence walks one cache line of control bytes (64 slots)
 //!   before it ever touches a key — the SoA idea of SwissTable/hashbrown,
-//!   with `unsafe` confined to one alignment-free 16-byte load (entries
-//!   are `Option<(K, V)>` rather than `MaybeUninit`).
-//! * **Group probing**: the probe loop inspects control bytes a *group*
-//!   at a time through one small `ProbeGroup` abstraction with two
-//!   backends. On x86_64, sixteen bytes load into one SSE2 register and
-//!   `_mm_cmpeq_epi8`/`_mm_movemask_epi8` flag fingerprint matches and
-//!   empty lanes exactly (the SwissTable scan; the crate's one
-//!   memory-touching intrinsic is the 16-byte unaligned load). Everywhere
-//!   else — and under `--cfg memento_no_simd`, CI's portable leg — eight
-//!   bytes load as one little-endian `u64` and SWAR arithmetic (SIMD
-//!   within a register: broadcast the fingerprint, XOR, then the
-//!   zero-byte trick `(x - 0x01…) & !x & 0x80…`) flags the same lanes;
-//!   empty lanes are `!word & 0x80…` exactly, because fingerprints always
-//!   carry the top bit and the empty control byte never does.
-//!   `trailing_zeros` turns a flag into a slot index. A short scalar
-//!   head (`SCALAR_HEAD` byte compares in probe order) resolves the
-//!   1–2-slot probes the load cap makes dominant before any group
-//!   machinery runs. The same group scan backs `get`/`insert`/`remove`
-//!   (via [`CompactMap::probe`]), the backward-shift cluster walk, and
-//!   the first-empty scan; the byte-at-a-time loop survives as
-//!   `probe_reference` for the differential property tests, and
-//!   `probe_swar` keeps the SWAR backend reachable on SSE2 builds so the
-//!   tests pin all three against each other.
+//!   in safe code (entries are `Option<(K, V)>` rather than
+//!   `MaybeUninit`).
+//! * **One scalar probe loop**: a probe compares one control byte per
+//!   step, the home slot peeled out of the loop, until it finds the key
+//!   or an empty slot. The per-packet tables run well below the 7/8 load
+//!   cap (the stream-summary index at most a quarter full), so nearly
+//!   every probe ends within a few slots, where a predicted byte compare
+//!   needs no set-up at all. A group scan (SSE2 or SWAR) would serve
+//!   only the rare probe past four slots; without one no benchmark
+//!   workload is slower (crates/bench/EXPERIMENTS.md, "One probe
+//!   loop"). The same walk backs `get`/`insert`/`remove` (via
+//!   [`CompactMap::probe`]), the backward-shift cluster walk, and the
+//!   first-empty scan; `probe_reference`, the seed-era loop without the
+//!   peeled home slot, stays as the differential property tests' oracle.
 //! * **Power-of-two capacity, linear probing**: the bucket index is
 //!   `hash & mask` (no integer division) and the probe step is +1, the
 //!   friendliest pattern for the prefetcher. The fast hash
@@ -54,237 +45,21 @@ use std::hash::Hash;
 use crate::fasthash::hash_one;
 use crate::journal::{Journal, JournalDrain};
 
-/// Minimum number of slots. Sized to the *widest* probe group (the
-/// 16-lane SSE2 backend), so `ctrl.len()` is always a multiple of every
-/// group width and group loads never straddle the end of the array — and
-/// the table geometry is identical on every build, whichever backend is
-/// active.
+/// Minimum number of slots. The value is part of every table's geometry:
+/// it fixes each key's slot in a small table, and with it the iteration
+/// order that tie orders read, so changing it would move state. At 16
+/// the smallest table's 7/8 cap still leaves two slots empty, so every
+/// probe walk terminates.
 const MIN_SLOTS: usize = 16;
 
 /// Control byte for an empty slot. Fingerprints always have the top bit
 /// set, so 0 is unambiguous.
 const EMPTY: u8 = 0;
 
-/// Control bytes per SWAR group (one `u64`).
-const WORD: usize = 8;
-
-/// Probe-order slots the scalar fast head of
-/// [`CompactMap::probe_grouped`] covers before the grouped scan takes
-/// over. Below [`MIN_SLOTS`] (so the head never laps the table) and
-/// sized to the probe lengths of the per-packet tables: in the
-/// stream-summary index, at most a quarter full, a miss walks ~1.4 slots
-/// and a hit ~1.1, and 99.4% of the probes a backbone trace makes end
-/// inside the head (counts in crates/bench/EXPERIMENTS.md), so nearly
-/// every probe resolves at byte-loop cost and only displaced clusters pay
-/// the group machinery's fixed setup.
-const SCALAR_HEAD: usize = 4;
-
-/// Every byte's low bit: the subtrahend of the zero-byte trick and the
-/// fingerprint-broadcast multiplier.
-const LSB: u64 = 0x0101_0101_0101_0101;
-
-/// Every byte's top bit: where the zero-byte trick and the empty-lane test
-/// leave their flags.
-const MSB: u64 = 0x8080_8080_8080_8080;
-
-/// Lane flags from a group-wide comparison: one flag per control byte, in
-/// lane order. The two backends carry flags differently (MSB-flagged `u64`
-/// lanes for SWAR, a dense `movemask` bitmap for SSE2), so the probe loops
-/// are written against this trait and monomorphized per backend.
-trait LaneMask: Copy {
-    /// True when at least one lane is flagged.
-    fn any(self) -> bool;
-    /// Lane index of the lowest flagged lane (callers check [`Self::any`]
-    /// first).
-    fn first(self) -> usize;
-    /// Clears the lowest flagged lane.
-    fn clear_first(self) -> Self;
-    /// Keeps only lanes at or above `lane` (the identity at `lane == 0`).
-    /// `lane` is always below the group width.
-    fn keep_from(self, lane: usize) -> Self;
-}
-
-/// A fixed-width view of [`WIDTH`](Self::WIDTH) consecutive control bytes,
-/// compared against a fingerprint or [`EMPTY`] across all lanes at once.
-///
-/// [`Self::match_fp`] may flag false positives *above* the lowest flagged
-/// lane (the SWAR backend's borrow propagation); every candidate is
-/// rejected by a key comparison, so callers need no exactness there.
-/// [`Self::match_empty`] is exact in every lane on both backends.
-trait ProbeGroup: Sized {
-    /// Control bytes per group: a power of two dividing [`MIN_SLOTS`].
-    const WIDTH: usize;
-    /// The lane-flag carrier of this backend.
-    type Mask: LaneMask;
-    /// Loads group `group` (control bytes `group * WIDTH ..`).
-    fn load(ctrl: &[u8], group: usize) -> Self;
-    /// Flags lanes whose control byte may equal `fp`.
-    fn match_fp(&self, fp: u8) -> Self::Mask;
-    /// Flags exactly the [`EMPTY`] lanes.
-    fn match_empty(&self) -> Self::Mask;
-}
-
-/// The portable backend: eight control bytes as one little-endian `u64`.
-/// The byte for slot `group * 8 + i` sits in bits `8i..8i+8`, so
-/// `trailing_zeros / 8` recovers the lowest flagged lane.
-#[derive(Clone, Copy)]
-struct SwarGroup(u64);
-
-/// [`SwarGroup`] lane flags: the flagged lanes' top bits ([`MSB`]
-/// positions).
-#[derive(Clone, Copy)]
-struct SwarMask(u64);
-
-impl LaneMask for SwarMask {
-    #[inline(always)]
-    fn any(self) -> bool {
-        self.0 != 0
-    }
-
-    #[inline(always)]
-    fn first(self) -> usize {
-        self.0.trailing_zeros() as usize / 8
-    }
-
-    #[inline(always)]
-    fn clear_first(self) -> Self {
-        SwarMask(self.0 & (self.0 - 1))
-    }
-
-    #[inline(always)]
-    fn keep_from(self, lane: usize) -> Self {
-        SwarMask(self.0 & (!0u64 << (8 * lane)))
-    }
-}
-
-impl ProbeGroup for SwarGroup {
-    const WIDTH: usize = WORD;
-    type Mask = SwarMask;
-
-    #[inline(always)]
-    fn load(ctrl: &[u8], group: usize) -> Self {
-        SwarGroup(u64::from_le_bytes(
-            ctrl[group * WORD..(group + 1) * WORD]
-                .try_into()
-                .expect("ctrl length is a multiple of the group width"),
-        ))
-    }
-
-    #[inline(always)]
-    fn match_fp(&self, fp: u8) -> SwarMask {
-        let diff = self.0 ^ ((fp as u64) * LSB);
-        SwarMask(diff.wrapping_sub(LSB) & !diff & MSB)
-    }
-
-    #[inline(always)]
-    fn match_empty(&self) -> SwarMask {
-        SwarMask(!self.0 & MSB)
-    }
-}
-
-/// The x86_64 backend: sixteen control bytes in one SSE2 register,
-/// compared with `_mm_cmpeq_epi8` and condensed to a dense lane bitmap by
-/// `_mm_movemask_epi8` — exact in every lane, twice the width of the SWAR
-/// group. SSE2 is part of the x86_64 baseline, so no runtime feature
-/// detection is needed; build with `--cfg memento_no_simd` (CI's `no-simd`
-/// leg) to force the portable SWAR backend on x86_64 too.
-#[cfg(all(target_arch = "x86_64", not(miri), not(memento_no_simd)))]
-mod sse2 {
-    use core::arch::x86_64::{
-        __m128i, _mm_cmpeq_epi8, _mm_loadu_si128, _mm_movemask_epi8, _mm_set1_epi8,
-        _mm_setzero_si128,
-    };
-
-    use super::{LaneMask, ProbeGroup};
-
-    /// Sixteen control bytes in an SSE2 register (see the module docs).
-    #[derive(Clone, Copy)]
-    pub(super) struct Sse2Group(__m128i);
-
-    /// [`Sse2Group`] lane flags: `_mm_movemask_epi8`'s bitmap, one bit per
-    /// lane in the low 16 bits.
-    #[derive(Clone, Copy)]
-    pub(super) struct Sse2Mask(u32);
-
-    impl LaneMask for Sse2Mask {
-        #[inline(always)]
-        fn any(self) -> bool {
-            self.0 != 0
-        }
-
-        #[inline(always)]
-        fn first(self) -> usize {
-            self.0.trailing_zeros() as usize
-        }
-
-        #[inline(always)]
-        fn clear_first(self) -> Self {
-            Sse2Mask(self.0 & (self.0 - 1))
-        }
-
-        #[inline(always)]
-        fn keep_from(self, lane: usize) -> Self {
-            Sse2Mask(self.0 & (!0u32 << lane))
-        }
-    }
-
-    impl ProbeGroup for Sse2Group {
-        const WIDTH: usize = 16;
-        type Mask = Sse2Mask;
-
-        #[inline(always)]
-        fn load(ctrl: &[u8], group: usize) -> Self {
-            let bytes = &ctrl[group * Self::WIDTH..(group + 1) * Self::WIDTH];
-            // SAFETY: the slice index above bounds-checks that 16 bytes are
-            // readable at `bytes.as_ptr()`, `_mm_loadu_si128` carries no
-            // alignment requirement, and SSE2 is statically part of the
-            // x86_64 baseline this module is gated on. This is the map's
-            // only memory-touching intrinsic.
-            #[allow(unsafe_code)]
-            let vector = unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) };
-            Sse2Group(vector)
-        }
-
-        #[inline(always)]
-        fn match_fp(&self, fp: u8) -> Sse2Mask {
-            // SAFETY: pure value operations on registers (no memory
-            // access); SSE2 is statically part of the x86_64 baseline this
-            // module is gated on, so the required target feature is
-            // always present.
-            #[allow(unsafe_code)]
-            let mask =
-                unsafe { _mm_movemask_epi8(_mm_cmpeq_epi8(self.0, _mm_set1_epi8(fp as i8))) };
-            Sse2Mask(mask as u32)
-        }
-
-        #[inline(always)]
-        fn match_empty(&self) -> Sse2Mask {
-            // SAFETY: as in `match_fp` — value operations only, and the
-            // sse2 target feature is unconditionally present on x86_64.
-            #[allow(unsafe_code)]
-            let mask = unsafe { _mm_movemask_epi8(_mm_cmpeq_epi8(self.0, _mm_setzero_si128())) };
-            Sse2Mask(mask as u32)
-        }
-    }
-}
-
-/// The probe-group backend the hot paths use: SSE2 on x86_64 (16 lanes),
-/// the portable SWAR word elsewhere (8 lanes). [`CompactMap::probe_swar`]
-/// keeps the SWAR backend reachable on every build for the differential
-/// tests.
-#[cfg(all(target_arch = "x86_64", not(miri), not(memento_no_simd)))]
-type ActiveGroup = sse2::Sse2Group;
-#[cfg(not(all(target_arch = "x86_64", not(miri), not(memento_no_simd))))]
-type ActiveGroup = SwarGroup;
-
 /// Probe-shape statistics of a live [`CompactMap`], from
 /// [`CompactMap::probe_stats`]. "Probe length" is the number of slots a
 /// successful lookup of the key inspects, home slot and hit included
-/// (a key sitting in its home slot has probe length 1); "words" counts the
-/// control *groups* the active scan loads for that same lookup — one SSE2
-/// register (16 control bytes) per load on x86_64, one SWAR `u64` (8)
-/// elsewhere. A whole home-slot-resident table costs exactly one group
-/// load per probe.
+/// (a key sitting in its home slot has probe length 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbeStats {
     /// Number of keys the statistics cover (the map's `len`).
@@ -293,10 +68,6 @@ pub struct ProbeStats {
     pub mean_probe_len: f64,
     /// Longest probe sequence of any key.
     pub max_probe_len: usize,
-    /// Mean control-group loads per probe (0.0 for an empty map).
-    pub mean_words_per_probe: f64,
-    /// Most control-group loads any single probe performs.
-    pub max_words_per_probe: usize,
 }
 
 /// A flat, power-of-two, linear-probing hash map with a separate one-byte
@@ -440,37 +211,11 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
     /// The table is never full (load is capped at 7/8), so the probe
     /// always terminates.
     ///
-    /// The scan is two-tier. Tier 1 is the scalar fast head: the first
-    /// [`SCALAR_HEAD`] probe-order slots, one control byte at a time,
-    /// bit-identical to [`Self::probe_reference`] over those slots —
-    /// below the 7/8 load cap, the overwhelming majority of probes end
-    /// there (in the stream-summary index, at most a quarter full, ~96%
-    /// of a backbone trace's probes end inside two slots), and for a
-    /// 1–2-slot probe a predicted byte compare beats any group
-    /// machinery's fixed setup. Probes that survive the head — long
-    /// displaced clusters, the regime backward-shift churn and high load
-    /// produce — continue in the `#[cold]` tier-2 loop
-    /// ([`Self::probe_spill`]): group-at-a-time, 16 control bytes per
-    /// SSE2 `cmpeq`/`movemask` on x86_64, 8 per SWAR word elsewhere,
-    /// first group masked to the lanes at or past the head's end.
-    /// Checking a group's candidates before its empty lanes is safe even
-    /// for a candidate past the first empty, because a key is always
-    /// reachable through its own probe sequence (backward-shift deletion
-    /// maintains this), so a slot beyond `key`'s terminating empty
-    /// cannot hold `key`; the `Err` slot is still the *first* empty in
-    /// probe order, which keeps the scan bit-for-bit equal to
-    /// [`Self::probe_reference`]. If the probe wraps the whole table,
-    /// the head's groups are eventually re-scanned with all lanes live,
-    /// where re-checking already-rejected lanes is harmless.
-    ///
-    /// (History: PR 6's tier 1 byte-walked the home word and tier 2
-    /// word-scanned, at an ~18% isolated-probe cost vs the pure byte
-    /// loop. PR 10 tried a pure group scan — home group masked, then
-    /// whole groups — and measured the same gap from the other side:
-    /// group setup dominates when ~93% of probes end at the home slot.
-    /// The scalar-head-plus-grouped-spill split is what reaches byte
-    /// parity on lookups while keeping 16-lane scans for clusters; see
-    /// EXPERIMENTS.md §PR 10 for the byte/SWAR/SSE2 A/B.)
+    /// One control byte per step, in probe order, with the same
+    /// hit/empty outcomes as [`Self::probe_reference`]. The home slot is
+    /// peeled out of the loop, so the commonest case (85–97% of the
+    /// summary index's probes on the benchmark workloads) runs
+    /// straight-line: one fingerprint compare and no loop bookkeeping.
     ///
     /// Exposed `#[doc(hidden)]` so the differential property tests can pin
     /// it against [`Self::probe_reference`]; not part of the supported API.
@@ -489,51 +234,6 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
     #[inline(always)]
     pub fn probe_hashed(&self, hash: u64, key: &K) -> Result<usize, (usize, u8)> {
         let (home, fp) = self.decompose(hash);
-        self.probe_grouped::<ActiveGroup>(home, fp, key)
-    }
-
-    /// [`Self::probe`] forced onto the portable SWAR backend, whichever
-    /// backend [`Self::probe`] itself uses. Bit-for-bit equal to both
-    /// [`Self::probe`] and [`Self::probe_reference`]; exists so one build
-    /// of the differential property tests pins SSE2 ≡ SWAR ≡ byte loop.
-    /// Not part of the supported API.
-    #[doc(hidden)]
-    #[inline]
-    pub fn probe_swar(&self, key: &K) -> Result<usize, (usize, u8)> {
-        let (home, fp) = self.decompose(hash_one(key));
-        self.probe_grouped::<SwarGroup>(home, fp, key)
-    }
-
-    /// Tier 1 of the probe (see [`Self::probe`]): a short scalar head
-    /// over the first probe-order slots, spilling to the out-of-line
-    /// grouped scan on exhaustion.
-    #[inline(always)]
-    fn probe_grouped<G: ProbeGroup>(
-        &self,
-        home: usize,
-        fp: u8,
-        key: &K,
-    ) -> Result<usize, (usize, u8)> {
-        // Scalar fast head: the per-packet tables run well below the 7/8
-        // load cap, so probes are short — in the stream-summary index,
-        // at most a quarter full, a miss walks ~1.4 slots and a hit
-        // ~1.1 — and a byte compare per slot settles those without the
-        // group-load/movemask machinery, whose fixed setup cost a 1–2
-        // slot probe never amortizes. The head is bit-identical to
-        // `probe_reference` over the slots it covers (same order, same
-        // hit/empty outcomes); only probes that survive `SCALAR_HEAD`
-        // slots — displaced clusters — fall through to the grouped scan,
-        // which resumes at the first uncovered slot and earns its width
-        // there.
-        // The home slot is peeled out of the loop so the commonest case
-        // (85–95% of the summary index's probes) runs straight-line —
-        // one fingerprint compare, no loop bookkeeping at all. The loop
-        // over the remaining head slots computes its end through the
-        // runtime mask so its trip count stays opaque to the optimizer:
-        // rolled, the loop has a single key-hit site, and LLVM fuses the
-        // caller's entry access (`get`'s value load) straight into it —
-        // unrolled, the hit sites all join in one block that re-checks
-        // the entry and costs the fast path a measurable couple of cycles.
         let c = self.ctrl[home];
         if c == fp {
             if let Some((k, _)) = &self.entries[home] {
@@ -545,8 +245,7 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
             return Err((home, fp));
         }
         let mut i = (home + 1) & self.mask;
-        let end = (home + SCALAR_HEAD) & self.mask;
-        while i != end {
+        loop {
             let c = self.ctrl[i];
             if c == fp {
                 if let Some((k, _)) = &self.entries[i] {
@@ -559,54 +258,12 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
             }
             i = (i + 1) & self.mask;
         }
-        self.probe_spill::<G>(i, fp, key)
-    }
-
-    /// Tier 2 of the probe: the group-at-a-time scan over every slot from
-    /// `start` in probe order, entered only when the scalar head resolved
-    /// nothing. The first group is masked to the lanes at or past
-    /// `start`; from there whole groups — 16 slots per compare on SSE2 —
-    /// until a key hit or an empty lane (the 7/8 load cap guarantees
-    /// one). Kept out of line (`#[cold]`) so the common short-probe path
-    /// stays small enough to inline into the callers — folding the group
-    /// machinery into tier 1 measurably slowed the lookup-dominated
-    /// bench through sheer code size.
-    #[cold]
-    #[inline(never)]
-    fn probe_spill<G: ProbeGroup>(
-        &self,
-        start: usize,
-        fp: u8,
-        key: &K,
-    ) -> Result<usize, (usize, u8)> {
-        let group_mask = self.ctrl.len() / G::WIDTH - 1;
-        let mut g = start / G::WIDTH;
-        let mut lane = start % G::WIDTH;
-        loop {
-            let group = G::load(&self.ctrl, g);
-            let mut candidates = group.match_fp(fp).keep_from(lane);
-            while candidates.any() {
-                let slot = g * G::WIDTH + candidates.first();
-                if let Some((k, _)) = &self.entries[slot] {
-                    if k == key {
-                        return Ok(slot);
-                    }
-                }
-                candidates = candidates.clear_first();
-            }
-            let empties = group.match_empty().keep_from(lane);
-            if empties.any() {
-                return Err((g * G::WIDTH + empties.first(), fp));
-            }
-            g = (g + 1) & group_mask;
-            lane = 0;
-        }
     }
 
     /// Bit-for-bit byte-at-a-time reference for [`Self::probe`]: the
-    /// seed-era scan, one control byte per step. Kept for the differential
-    /// property tests (`tests/proptest_compact_map.rs`) and as the baseline
-    /// of the probe micro-benchmarks; not part of the supported API.
+    /// seed-era scan, one control byte per step and no peeled home slot.
+    /// Kept for the differential property tests
+    /// (`tests/proptest_compact_map.rs`); not part of the supported API.
     #[doc(hidden)]
     #[inline]
     pub fn probe_reference(&self, key: &K) -> Result<usize, (usize, u8)> {
@@ -627,28 +284,20 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
         }
     }
 
-    /// First [`EMPTY`] slot at or cyclically after `home`, by the same
-    /// group scan as [`Self::probe`]. The table always holds one (load is
-    /// capped at 7/8), so the scan terminates.
+    /// First [`EMPTY`] slot at or cyclically after `home`, one control
+    /// byte per step as in [`Self::probe`]. The table always holds one
+    /// (load is capped at 7/8), so the walk terminates.
     #[inline]
     fn first_empty_from(&self, home: usize) -> usize {
-        let group_mask = self.ctrl.len() / ActiveGroup::WIDTH - 1;
-        let mut g = home / ActiveGroup::WIDTH;
-        let mut lane = home % ActiveGroup::WIDTH;
-        loop {
-            let empties = ActiveGroup::load(&self.ctrl, g)
-                .match_empty()
-                .keep_from(lane);
-            if empties.any() {
-                return g * ActiveGroup::WIDTH + empties.first();
-            }
-            g = (g + 1) & group_mask;
-            lane = 0;
+        let mut i = home;
+        while self.ctrl[i] != EMPTY {
+            i = (i + 1) & self.mask;
         }
+        i
     }
 
     /// Hints the CPU to pull the cache lines `key`'s probe will touch —
-    /// the home control group and the home entry — without reading them
+    /// the home control byte's and the home entry's — without reading them
     /// (see [`crate::fasthash::prefetch`]). The batched update pipelines
     /// call this for keys a small lookahead before probing them, so the
     /// misses of a batch overlap instead of serializing. Costs one hash
@@ -672,39 +321,24 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
     /// walking every occupied slot (nothing is counted on the hot path).
     /// Used by the workspace's regression tests to pin the Lemire-route
     /// probe-length invariant and by the benches to report table health.
-    /// Group loads are counted at the *active* backend's width (16 on
-    /// x86_64, 8 on the SWAR fallback), consistently with what
-    /// [`Self::probe`] actually loads on this build.
     pub fn probe_stats(&self) -> ProbeStats {
-        let width = ActiveGroup::WIDTH;
-        let groups = self.ctrl.len() / width;
         let mut total_len = 0u64;
         let mut max_len = 0usize;
-        let mut total_words = 0u64;
-        let mut max_words = 0usize;
         for (i, slot) in self.entries.iter().enumerate() {
             let Some((k, _)) = slot else { continue };
             let home = (hash_one(k) as usize) & self.mask;
             let probe_len = (i.wrapping_sub(home) & self.mask) + 1;
-            let word_loads = ((i / width).wrapping_sub(home / width) & (groups - 1)) + 1;
             total_len += probe_len as u64;
             max_len = max_len.max(probe_len);
-            total_words += word_loads as u64;
-            max_words = max_words.max(word_loads);
         }
-        let mean = |total: u64| {
-            if self.len == 0 {
-                0.0
-            } else {
-                total as f64 / self.len as f64
-            }
-        };
         ProbeStats {
             keys: self.len,
-            mean_probe_len: mean(total_len),
+            mean_probe_len: if self.len == 0 {
+                0.0
+            } else {
+                total_len as f64 / self.len as f64
+            },
             max_probe_len: max_len,
-            mean_words_per_probe: mean(total_words),
-            max_words_per_probe: max_words,
         }
     }
 
@@ -839,20 +473,15 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
             j.depart(removed_key);
         }
         // Knuth's Algorithm R on a circular table: walk the cluster after
-        // the hole; any entry whose home position is cyclically outside
-        // (hole, j] would become unreachable through the hole — move it
-        // into the hole and continue from its old slot. The cluster's end
-        // is computed up front with one group scan: the walk only ever
-        // vacates slots it has *already* visited (a shifted entry's old
-        // slot trails `j`), so the first EMPTY at or after `hole + 1`
-        // never moves while the walk runs, and the per-step occupancy
-        // byte-check the seed-era walk paid becomes a single wide scan
-        // over the cluster.
-        let end = self.first_empty_from((hole + 1) & self.mask);
+        // the hole up to its first EMPTY; any entry whose home position is
+        // cyclically outside (hole, j] would become unreachable through
+        // the hole — move it into the hole and continue from its old
+        // slot. A vacated slot always trails `j`, so the walk stops at the
+        // cluster's original end.
         let mut j = hole;
         loop {
             j = (j + 1) & self.mask;
-            if j == end {
+            if self.ctrl[j] == EMPTY {
                 return Some(value);
             }
             let home = {
@@ -987,11 +616,11 @@ mod tests {
     }
 
     #[test]
-    fn group_backends_agree_with_reference() {
-        // Unit-level pin of the three probe paths (the proptests cover the
-        // same equivalence under randomized churn): present keys, absent
-        // keys, and keys removed mid-churn must agree on `Ok` slots *and*
-        // on `Err` first-empty slots, bit for bit.
+    fn probe_agrees_with_reference() {
+        // Unit-level pin of the probe against the seed-era byte loop (the
+        // proptests cover the same equivalence under randomized churn):
+        // present keys, absent keys, and keys removed mid-churn must agree
+        // on `Ok` slots *and* on `Err` first-empty slots, bit for bit.
         for capacity in [0usize, 8, 64, 512] {
             let mut m: CompactMap<u64, u64> = CompactMap::with_capacity(capacity);
             let fill = (capacity.max(8) * 7 / 8) as u64;
@@ -1002,9 +631,11 @@ mod tests {
                 m.remove(&i.wrapping_mul(0x9e37_79b9));
             }
             for probe_key in (0..2 * fill.max(16)).map(|i| i.wrapping_mul(0x9e37_79b9)) {
-                let active = m.probe(&probe_key);
-                assert_eq!(active, m.probe_swar(&probe_key), "key {probe_key}");
-                assert_eq!(active, m.probe_reference(&probe_key), "key {probe_key}");
+                assert_eq!(
+                    m.probe(&probe_key),
+                    m.probe_reference(&probe_key),
+                    "key {probe_key}"
+                );
             }
         }
     }
@@ -1116,17 +747,13 @@ mod tests {
         assert_eq!(stats.keys, 0);
         assert_eq!(stats.mean_probe_len, 0.0);
         assert_eq!(stats.max_probe_len, 0);
-        assert_eq!(stats.mean_words_per_probe, 0.0);
-        assert_eq!(stats.max_words_per_probe, 0);
-        // One key, necessarily in its home slot: probe length 1, one group.
+        // One key, necessarily in its home slot: probe length 1.
         let mut m: CompactMap<u64, u64> = CompactMap::new();
         m.insert(42, 0);
         let stats = m.probe_stats();
         assert_eq!(stats.keys, 1);
         assert_eq!(stats.mean_probe_len, 1.0);
         assert_eq!(stats.max_probe_len, 1);
-        assert_eq!(stats.mean_words_per_probe, 1.0);
-        assert_eq!(stats.max_words_per_probe, 1);
     }
 
     #[test]
@@ -1134,8 +761,7 @@ mod tests {
         // Every key maps to a distinct home in a big sparse table, so
         // *forcing* displacement needs a measured comparison instead:
         // filling a table to capacity must raise the mean above 1 and the
-        // stats must stay consistent (mean ≤ max, group loads bounded by
-        // the probe length at the active group width).
+        // stats must stay consistent (mean ≤ max).
         let mut m: CompactMap<u64, u64> = CompactMap::with_capacity(512);
         for i in 0..512 {
             m.insert(i, i);
@@ -1144,8 +770,6 @@ mod tests {
         assert_eq!(stats.keys, 512);
         assert!(stats.mean_probe_len >= 1.0);
         assert!(stats.max_probe_len >= stats.mean_probe_len.ceil() as usize);
-        assert!(stats.mean_words_per_probe >= 1.0);
-        assert!(stats.max_words_per_probe <= stats.max_probe_len.div_ceil(ActiveGroup::WIDTH) + 1);
     }
 
     #[test]
@@ -1156,11 +780,8 @@ mod tests {
         // and the stream-summary's exact sizing (4096 keys in a
         // `with_capacity(4096)` table, ~50% load after the power-of-two
         // round-up) the mean probe length stays at the unsharded level —
-        // ≤ 2.2 slots — and the group scan loads ~1 control group per
-        // probe (the bound holds at both group widths: a 16-lane group
-        // never loads more groups than an 8-lane word scan of the same
-        // probe). A `hash % shards` router would push the mean far beyond
-        // this (the low index bits would be fixed per shard).
+        // ≤ 2.2 slots. A `hash % shards` router would push the mean far
+        // beyond this (the low index bits would be fixed per shard).
         use crate::fasthash::route;
         for shards in [1usize, 4] {
             let mut m: CompactMap<u64, u64> = CompactMap::with_capacity(4096);
@@ -1177,11 +798,6 @@ mod tests {
                 stats.mean_probe_len <= 2.2,
                 "shard 0 of {shards}: mean probe length {} exceeds 2.2",
                 stats.mean_probe_len
-            );
-            assert!(
-                stats.mean_words_per_probe <= 1.25,
-                "shard 0 of {shards}: {} control-group loads per probe",
-                stats.mean_words_per_probe
             );
         }
     }

@@ -388,9 +388,10 @@ proptest! {
 }
 
 /// The sharded engines at N ∈ {1, 2, 4}: replaying a timed trace through
-/// `record_timed` (the router's gap-stamped `update_batch_positioned` fast
-/// path) answers bit-for-bit like the same engine driven on the manual
-/// rotation schedule through identical positioned calls — for the exact
+/// `record_timed` (one engine `skip` over each same-grain run's rotations,
+/// then one `update_batch` over the run's items) answers bit-for-bit like
+/// the same engine driven on the manual rotation schedule through
+/// gap-stamped `update_batch_positioned` calls — for the exact
 /// window, WCSS, and Memento at τ < 1. The exact engines additionally
 /// match the single-threaded timed reference, tying the sharded time plane
 /// to ground truth.

@@ -2,17 +2,18 @@
 //! vs incremental delta publication (PR 8).
 //!
 //! One publication under the PR 7 plane cost `O(k)` per shard regardless
-//! of what changed: `freeze` walked every tracked key into a fresh
-//! `FrozenWindow` (Vec + HashMap index + sort). The PR 8 plane freezes a
-//! [`WindowPatch`] covering only the slots dirtied since the previous
-//! freeze and folds it onto a persistent [`DeltaWindow`], so publication
-//! cost tracks the *churn*, not the summary size.
+//! of what changed: it enumerated and sorted every tracked key and built a
+//! fresh lookup table from them. The delta plane freezes a [`WindowPatch`]
+//! covering only the slots dirtied since the previous freeze and folds it
+//! onto a persistent [`DeltaWindow`], so publication cost tracks the
+//! *churn*, not the summary size.
 //!
 //! Each `dirty_*` row performs the same work between measurements — touch
 //! `fraction × k` distinct monitored keys — and then pays its plane's
 //! publication cost:
 //!
-//! * `full_freeze_*` — `WindowQuery::freeze()`: the PR 7 unit of work;
+//! * `full_freeze_*` — a [`WindowPatch::rebuild`] of `heavy_hitters(0.0)`
+//!   applied to a fresh [`DeltaWindow`]: the full-rebuild unit of work;
 //! * `delta_freeze_*` — `freeze_delta()` + `DeltaWindow::apply` + the O(1)
 //!   structural-sharing clone a publication retains: the PR 8 unit.
 //!
@@ -24,7 +25,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use memento_core::{DeltaWindow, Wcss, WindowQuery};
+use memento_core::{DeltaWindow, Wcss, WindowPatch, WindowQuery};
 
 /// Counter budgets swept (the gate's 4_096 in the middle).
 const COUNTERS: [usize; 3] = [1_024, 4_096, 16_384];
@@ -66,19 +67,26 @@ fn bench_snapshot_publish(c: &mut Criterion) {
             let touches = touch_set(k, fraction);
             group.throughput(Throughput::Elements(touches.len() as u64));
 
-            // PR 7 unit: touch, then rebuild the frozen summary from
-            // scratch — O(k) no matter how little changed.
+            // Full-rebuild unit: touch, then rebuild the frozen view from scratch —
+            // O(k) no matter how little changed.
             group.bench_function(format!("full_freeze_k{k}_dirty_{label}"), |b| {
                 let mut est = warmed(k);
                 b.iter(|| {
                     est.as_memento_mut().update_batch(&touches);
-                    est.freeze().tracked()
+                    let mut view = DeltaWindow::empty(WindowQuery::name(&est));
+                    view.apply(&WindowPatch::rebuild(
+                        WindowQuery::heavy_hitters(&est, 0.0),
+                        est.untracked_estimate(),
+                        WindowQuery::processed(&est),
+                        est.error_bound(),
+                    ));
+                    view.tracked()
                 })
             });
 
             // PR 8 unit: touch, then freeze only the dirtied slots and
             // fold the patch onto the persistent merged view. The clone
-            // models what a publication retains in the double buffer.
+            // models what a publication retains in the snapshot pointer.
             group.bench_function(format!("delta_freeze_k{k}_dirty_{label}"), |b| {
                 let mut est = warmed(k);
                 let mut view: DeltaWindow<u64> = DeltaWindow::empty(WindowQuery::name(&est));

@@ -1,10 +1,9 @@
 //! Incremental snapshot publication (PR 8): the delta types behind
 //! [`WindowQuery::freeze_delta`].
 //!
-//! PR 7's query plane froze every shard's *entire* summary each epoch —
-//! O(k) per shard per publication, however little changed. This module
-//! makes snapshot maintenance proportional to the **update delta**
-//! instead:
+//! A full freeze costs O(k) per shard per publication, however little
+//! changed. This module makes snapshot maintenance proportional to the
+//! **update delta** instead:
 //!
 //! * [`WindowPatch`] — what one shard reports per epoch: the tracked flows
 //!   whose estimate (or tie-breaking rank) changed since the previous
@@ -12,20 +11,18 @@
 //!   (untracked estimate, stream position, error bound). A patch can also
 //!   demand a full `rebuild` when slot identity was invalidated wholesale
 //!   (frame flush, table resize, first freeze).
-//! * [`DeltaWindow`] — a publishable per-shard view: an [`Arc`]-shared
-//!   `key → (estimate, rank)` table plus the frozen scalars, answering
-//!   [`WindowQuery`] bit-for-bit like the [`FrozenWindow`](crate::FrozenWindow)
-//!   it replaces. `clone` is one `Arc` bump; [`DeltaWindow::apply`] patches
-//!   the table in place when this view is the only owner and falls back to
-//!   a copy-on-write clone when a published snapshot still shares it.
-//! * [`DeltaAssembler`] — what makes the in-place fast path the common
-//!   case: a small rotation of views (one more than the query plane's
-//!   double buffer retains) plus a backlog of the patches each view has
-//!   not yet seen. Each publication steps the rotation onto the view the
-//!   double buffer released two epochs ago — uniquely owned again, so the
-//!   backlog replays as plain in-place hash-table writes — and returns an
-//!   O(1) clone for the snapshot. Publication therefore costs
-//!   O(dirty · rotation), never O(k).
+//! * [`DeltaWindow`] — the workspace's one frozen flow view: an
+//!   [`Arc`]-shared `key → (estimate, rank)` table plus the frozen scalars,
+//!   answering [`WindowQuery`] bit-for-bit like the live instance whose
+//!   patches it applied. `clone` is one `Arc` bump; [`DeltaWindow::apply`]
+//!   patches the table in place when this view is the only owner and falls
+//!   back to a copy-on-write clone when a published snapshot still shares
+//!   it.
+//!
+//! The sharded engine (`memento-shard`) keeps the in-place path the common
+//! case: it rotates each shard through two views beside its one published
+//! snapshot, so the view a publication patches is the one that snapshot
+//! does not hold.
 //!
 //! **Why ranks?** Live `heavy_hitters` implementations stable-sort their
 //! internal traversal order by descending estimate, so ties resolve by
@@ -33,20 +30,15 @@
 //! only changed entries — so each entry carries its traversal position as
 //! an explicit `rank`; sorting by `(estimate desc, rank asc)` then
 //! reproduces the live stable order exactly, which is what keeps
-//! delta-published snapshots bit-for-bit identical to full freezes.
+//! delta-published snapshots bit-for-bit identical to the live answers.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
 
 use memento_sketches::fasthash::FastBuildHasher;
 
 use crate::query::WindowQuery;
-
-/// How many views a [`DeltaAssembler`] rotates through: one more than the
-/// two epochs the query plane's double buffer can retain, so the view a
-/// publication mutates has (absent slow readers) already been released.
-const ROTATION: usize = 3;
 
 /// The changes one shard's estimator accumulated between two
 /// [`freeze_delta`](crate::WindowQuery::freeze_delta) calls.
@@ -98,12 +90,6 @@ impl<K> WindowPatch<K> {
             error_bound,
         }
     }
-
-    /// Number of entry changes the patch carries (the "dirty" count a
-    /// publication pays for).
-    pub fn changes(&self) -> usize {
-        self.updated.len() + self.removed.len()
-    }
 }
 
 /// The entry table behind a [`DeltaWindow`]: keyed by the fast
@@ -119,12 +105,11 @@ type EntryMap<K> = HashMap<K, (f64, u64), FastBuildHasher>;
 ///   lets every publication stamp a fresh merged snapshot without copying
 ///   per-entry state;
 /// * [`Self::apply`] mutates the table **in place** when this view is the
-///   table's only owner (the steady state under a [`DeltaAssembler`]) and
-///   degrades to a copy-on-write clone — never wrong, just slower — when a
-///   published snapshot still shares it;
-/// * answers [`WindowQuery`] bit-for-bit like the
-///   [`FrozenWindow`](crate::FrozenWindow) a full freeze would have built
-///   (see the module docs for the rank argument);
+///   table's only owner (the steady state under the sharded engine's view
+///   rotation) and degrades to a copy-on-write clone — never wrong, just
+///   slower — when a published snapshot still shares it;
+/// * answers [`WindowQuery`] bit-for-bit like the live instance whose
+///   patches it applied (see the module docs for the rank argument);
 /// * the descending entry order behind [`heavy_hitters`](WindowQuery::heavy_hitters)
 ///   is computed lazily on first query and shared by every clone taken
 ///   before the next `apply` — an untouched shard re-sorts nothing.
@@ -155,9 +140,16 @@ impl<K: Eq + Hash + Clone> DeltaWindow<K> {
 
     /// Applies one epoch's patch. In-place hash-table writes — O(changes) —
     /// when this view solely owns its table; a shared table (a published
-    /// clone still alive) is copied first, O(tracked), which the
-    /// [`DeltaAssembler`] rotation makes the rare case.
+    /// clone still alive) is copied first, O(tracked), which the sharded
+    /// engine's view rotation makes the rare case. A rebuild never copies:
+    /// it clears a table it owns and starts a fresh one otherwise.
     pub fn apply(&mut self, patch: &WindowPatch<K>) {
+        if patch.rebuild && Arc::get_mut(&mut self.entries).is_none() {
+            // A published clone shares the table: start a fresh one instead
+            // of copying entries the rebuild would clear.
+            let fresh = EntryMap::with_capacity_and_hasher(patch.updated.len(), FastBuildHasher);
+            self.entries = Arc::new(fresh);
+        }
         let entries = Arc::make_mut(&mut self.entries);
         if patch.rebuild {
             entries.clear();
@@ -232,71 +224,6 @@ impl<K: Eq + Hash + Clone> WindowQuery<K> for DeltaWindow<K> {
     }
 }
 
-/// Folds one shard's stream of [`WindowPatch`]es into publishable
-/// [`DeltaWindow`] clones, keeping the per-publication cost at
-/// O(dirty · `ROTATION`) hash-table writes.
-///
-/// The naive single-view design — apply the patch, clone, publish — makes
-/// every `apply` hit the copy-on-write slow path: the clone published last
-/// epoch still shares the table, so `Arc::make_mut` must copy all O(k)
-/// entries. The assembler instead rotates through `ROTATION` views. The
-/// view a publication lands on was published `ROTATION` epochs ago; the
-/// query plane's double buffer holds only the last two snapshots, so that
-/// clone has (slow readers aside) been dropped and the view owns its table
-/// again: replaying the few patches it missed — kept in a bounded backlog —
-/// is plain in-place writes. A reader that *does* still hold the old
-/// snapshot costs one table copy, never correctness.
-#[derive(Debug, Clone)]
-pub struct DeltaAssembler<K> {
-    views: Vec<DeltaWindow<K>>,
-    /// `applied[i]`: sequence number of the last patch `views[i]` has seen.
-    applied: Vec<u64>,
-    /// The last `ROTATION` patches, tagged with their sequence number —
-    /// exactly what the stalest view in the rotation is missing.
-    backlog: VecDeque<(u64, WindowPatch<K>)>,
-    seq: u64,
-}
-
-impl<K: Eq + Hash + Clone> DeltaAssembler<K> {
-    /// An assembler whose views all start empty.
-    pub fn new(name: &'static str) -> Self {
-        DeltaAssembler {
-            views: (0..ROTATION).map(|_| DeltaWindow::empty(name)).collect(),
-            applied: vec![0; ROTATION],
-            backlog: VecDeque::with_capacity(ROTATION),
-            seq: 0,
-        }
-    }
-
-    /// Folds `patch` in and returns the up-to-date view for publication
-    /// (an O(1) clone retaining the snapshot's immutability: the assembler
-    /// will not touch this view again for `ROTATION` publications).
-    pub fn publish(&mut self, patch: WindowPatch<K>) -> DeltaWindow<K> {
-        self.seq += 1;
-        self.backlog.push_back((self.seq, patch));
-        if self.backlog.len() > ROTATION {
-            self.backlog.pop_front();
-        }
-        let idx = (self.seq as usize) % ROTATION;
-        let applied = std::mem::replace(&mut self.applied[idx], self.seq);
-        let view = &mut self.views[idx];
-        for (seq, patch) in &self.backlog {
-            if *seq > applied {
-                view.apply(patch);
-            }
-        }
-        view.clone()
-    }
-
-    /// The most recently published view, if any patch was folded yet.
-    pub fn latest(&self) -> Option<&DeltaWindow<K>> {
-        if self.seq == 0 {
-            return None;
-        }
-        Some(&self.views[(self.seq as usize) % ROTATION])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,60 +292,5 @@ mod tests {
         assert_eq!(w.heavy_hitters(0.0), vec![(2, 9.0), (1, 3.0)]);
         assert_eq!(published.processed(), 10);
         assert_eq!(w.processed(), 20);
-    }
-
-    /// One reference view applying every patch sequentially; an assembler
-    /// rotating through its views. Every published clone must match the
-    /// reference exactly — including across a mid-sequence rebuild and with
-    /// published clones (the double buffer's retention) still alive.
-    #[test]
-    fn assembler_rotation_matches_sequential_application() {
-        let mut reference: DeltaWindow<u64> = DeltaWindow::empty("test");
-        let mut assembler: DeltaAssembler<u64> = DeltaAssembler::new("test");
-        assert!(assembler.latest().is_none());
-        let mut retained: VecDeque<DeltaWindow<u64>> = VecDeque::new();
-        for step in 0..20u64 {
-            let patch = if step == 9 {
-                // Mid-sequence rebuild: every view must converge on the
-                // replacement state even if it never saw patches 0..9.
-                WindowPatch::rebuild(vec![(100, 50.0), (101, 25.0)], 0.5, 900, 1.0)
-            } else {
-                WindowPatch {
-                    rebuild: false,
-                    updated: vec![(step % 5, step as f64 + 1.0, step % 5)],
-                    removed: if step % 4 == 3 {
-                        vec![(step + 1) % 5]
-                    } else {
-                        vec![]
-                    },
-                    untracked: 0.1 * step as f64,
-                    processed: 100 * (step + 1),
-                    error_bound: 2.0,
-                }
-            };
-            reference.apply(&patch);
-            let published = assembler.publish(patch);
-            // Model the query plane's double buffer: the last two published
-            // clones stay alive, pinning their tables.
-            retained.push_back(published.clone());
-            if retained.len() > 2 {
-                retained.pop_front();
-            }
-            assert_eq!(
-                published.heavy_hitters(0.0),
-                reference.heavy_hitters(0.0),
-                "step {step}"
-            );
-            assert_eq!(published.processed(), reference.processed());
-            assert_eq!(
-                published.untracked_estimate(),
-                reference.untracked_estimate()
-            );
-            assert_eq!(published.tracked(), reference.tracked());
-            assert_eq!(
-                assembler.latest().expect("published").processed(),
-                reference.processed()
-            );
-        }
     }
 }

@@ -22,6 +22,10 @@
 //!   item type, and the two algorithm traits built on it:
 //!   [`SlidingWindowEstimator`] (`Ingest` + [`WindowQuery`]) and
 //!   [`HhhAlgorithm`] (`Ingest` + [`HhhQuery`]).
+//! * [`query`] and [`delta`] — the read-only query traits and the two
+//!   frozen views that carry answers across threads: [`DeltaWindow`] for
+//!   flows, kept current by [`WindowQuery::freeze_delta`]'s
+//!   [`WindowPatch`]es, and [`FrozenHhh`] for hierarchies.
 //! * [`time`] — the time plane: [`TimedWindow`] turns any [`Ingest`]
 //!   implementor's count window into a time window.
 //!
@@ -61,11 +65,11 @@ pub mod traits;
 pub mod wcss;
 
 pub use config::MementoConfig;
-pub use delta::{DeltaAssembler, DeltaWindow, WindowPatch};
+pub use delta::{DeltaWindow, WindowPatch};
 pub use error::ConfigError;
 pub use h_memento::HMemento;
 pub use memento::Memento;
-pub use query::{FrozenHhh, FrozenWindow, HhhQuery, WindowQuery};
+pub use query::{FrozenHhh, HhhQuery, WindowQuery};
 pub use time::{GrainClock, GrainMap, TimedWindow};
 pub use traits::{HhhAlgorithm, Ingest, SlidingWindowEstimator};
 pub use wcss::Wcss;

@@ -1006,6 +1006,41 @@ impl<K: Eq + Hash + Clone> Memento<K> {
         self.y.slot_of(key).map(|slot| (1u64 << 32) | slot as u64)
     }
 
+    /// Every tracked flow with its estimate and [`Self::delta_rank`], in
+    /// [`Self::tracked_keys`]'s order: one pass over `B` and one over `y`,
+    /// each in slot order, so the slot in hand is the rank and the estimate
+    /// comes from the entry in hand. A `B` flow's in-frame count costs one
+    /// probe of `y`'s index, which also marks its `y` slot for the `y` pass
+    /// to skip; `B` itself is never probed.
+    fn tracked_entries(&self) -> Vec<(K, f64, u64)> {
+        let block = self.overflow_threshold;
+        let absent = self.y.absent_query();
+        let mut in_b = vec![false; self.y.counters()];
+        let mut entries = Vec::with_capacity(self.overflow_counts.len() + self.y.monitored());
+        for slot in 0..self.overflow_counts.slots() {
+            let Some((key, &overflows)) = self.overflow_counts.slot_entry(slot) else {
+                continue;
+            };
+            let in_frame = self
+                .y
+                .slot_of(key)
+                .and_then(|y_slot| {
+                    in_b[y_slot] = true;
+                    self.y.slot_entry(y_slot)
+                })
+                .map_or(absent, |(_, count, _)| count);
+            let raw = block * (overflows as u64 + 2) + in_frame % block;
+            entries.push((key.clone(), raw as f64 * self.scale, slot as u64));
+        }
+        for (y_slot, seen) in in_b.into_iter().enumerate() {
+            if let Some((key, count, _)) = self.y.slot_entry(y_slot).filter(|_| !seen) {
+                let rank = (1u64 << 32) | y_slot as u64;
+                entries.push((key.clone(), (2 * block + count) as f64 * self.scale, rank));
+            }
+        }
+        entries
+    }
+
     /// Captures the changes since the previous `freeze_patch` call as a
     /// [`WindowPatch`] (the engine behind the Memento family's O(dirty)
     /// [`WindowQuery::freeze_delta`](crate::WindowQuery::freeze_delta)).
@@ -1044,29 +1079,9 @@ impl<K: Eq + Hash + Clone> Memento<K> {
         self.last_absent = absent;
         let untracked = self.untracked_estimate();
         if map_drain.rebuild || y_drain.rebuild {
-            let mut updated = Vec::new();
-            for (k, _) in self.overflow_counts.iter() {
-                let rank = self
-                    .overflow_counts
-                    .slot_of(k)
-                    .expect("iterated key is present") as u64;
-                updated.push((k.clone(), self.estimate(k), rank));
-            }
-            for snap in self.y.snapshot() {
-                if self.overflow_counts.get(&snap.key).is_some() {
-                    continue;
-                }
-                let rank = (1u64 << 32)
-                    | self
-                        .y
-                        .slot_of(&snap.key)
-                        .expect("snapshotted key is present") as u64;
-                let est = self.estimate(&snap.key);
-                updated.push((snap.key, est, rank));
-            }
             return WindowPatch {
                 rebuild: true,
-                updated,
+                updated: self.tracked_entries(),
                 removed: Vec::new(),
                 untracked,
                 processed: self.processed,

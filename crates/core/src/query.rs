@@ -19,13 +19,17 @@
 //! they serve implement *only* the query traits, so code written against
 //! `&dyn WindowQuery<K>` cannot accidentally take a blocking ingest path.
 //!
-//! [`FrozenWindow`] and [`FrozenHhh`] are immutable value types: summaries
-//! that answer the same queries the live instance would have answered at
-//! freeze time, bit-for-bit, without referencing the live state. Any
-//! estimator builds a `FrozenWindow` through [`WindowQuery::freeze`];
-//! [`HMemento::freeze`](crate::HMemento::freeze) builds a `FrozenHhh`, one
-//! per shard of the sharded HHH engine. The sharded estimator engine
-//! publishes [`WindowQuery::freeze_delta`] patches instead.
+//! Two immutable views carry answers out of a live instance, one per
+//! query trait, each answering the queries the live instance would have
+//! answered at freeze time, bit-for-bit, without referencing the live
+//! state:
+//!
+//! * a [`DeltaWindow`](crate::DeltaWindow), kept current by applying the
+//!   [`WindowPatch`]es of [`WindowQuery::freeze_delta`] — one per shard of
+//!   the sharded estimator engine;
+//! * a [`FrozenHhh`], built by
+//!   [`HMemento::freeze`](crate::HMemento::freeze) — one per shard of the
+//!   sharded HHH engine.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -72,40 +76,20 @@ pub trait WindowQuery<K: Clone> {
         0.0
     }
 
-    /// Captures an immutable [`FrozenWindow`] answering exactly the queries
-    /// this instance would answer right now.
-    ///
-    /// The provided implementation records every tracked flow via
-    /// `heavy_hitters(0.0)` (estimates are non-negative, so a zero
-    /// threshold enumerates all of them in canonical descending order)
-    /// together with [`untracked_estimate`](Self::untracked_estimate) for
-    /// everything else. That reproduces `estimate` and `heavy_hitters`
-    /// bit-for-bit for every implementor whose heavy-hitter sort is stable
-    /// — all of the workspace's are — because filtering a stable descending
-    /// order by threshold commutes with sorting the filtered set.
-    fn freeze(&self) -> FrozenWindow<K>
-    where
-        K: Eq + Hash,
-    {
-        FrozenWindow::capture(
-            self.name(),
-            self.heavy_hitters(0.0),
-            self.untracked_estimate(),
-            self.processed(),
-            self.error_bound(),
-        )
-    }
-
     /// Captures the changes since the previous `freeze_delta` call as a
     /// [`WindowPatch`], for consumers maintaining a persistent
     /// [`DeltaWindow`](crate::delta::DeltaWindow). Applying every patch in
-    /// call order reproduces [`freeze`](Self::freeze)'s answers bit-for-bit
-    /// at each point.
+    /// call order makes the view answer `estimate`, `heavy_hitters`,
+    /// `untracked_estimate`, `processed` and `error_bound` bit-for-bit like
+    /// this instance at each call.
     ///
     /// Takes `&mut self` because native implementors drain internal dirty
     /// journals. The provided implementation has no journal and simply
-    /// returns a full [`WindowPatch::rebuild`] every time — correct for any
-    /// implementor, O(k) like `freeze`. Only the Memento family
+    /// returns a full [`WindowPatch::rebuild`] of `heavy_hitters(0.0)` every
+    /// time, O(k). Estimates are non-negative, so a zero threshold
+    /// enumerates every tracked flow in canonical descending order; the
+    /// rebuild is faithful for every implementor whose heavy-hitter sort is
+    /// stable, as all of the workspace's are. Only the Memento family
     /// ([`Memento`](crate::Memento), [`Wcss`](crate::Wcss)) patches in
     /// O(dirty) ([`Memento::freeze_patch`](crate::Memento::freeze_patch));
     /// wrappers such as [`TimedWindow`](crate::TimedWindow) forward to the
@@ -141,99 +125,6 @@ pub trait HhhQuery<Hi: Hierarchy> {
 
     /// Total packets processed as of the state being queried.
     fn processed(&self) -> u64;
-}
-
-/// An immutable point-in-time summary of a [`WindowQuery`] implementor.
-///
-/// Stores the tracked flows in the live instance's canonical
-/// descending-estimate order plus the estimate assigned to untracked keys,
-/// so `estimate` and `heavy_hitters` reproduce the frozen instance's answers
-/// bit-for-bit. `Send + Sync` whenever `K` is, which is what lets the
-/// sharded engines ship one per shard out of the worker threads.
-#[derive(Debug, Clone)]
-pub struct FrozenWindow<K> {
-    name: &'static str,
-    /// Tracked flows in the live `heavy_hitters(0.0)` order (descending
-    /// estimate, original stable tie order).
-    entries: Vec<(K, f64)>,
-    /// Point lookups for `estimate`.
-    index: HashMap<K, f64>,
-    /// Estimate reported for keys absent from `index`.
-    untracked: f64,
-    processed: u64,
-    error_bound: f64,
-}
-
-impl<K: Eq + Hash + Clone> FrozenWindow<K> {
-    /// Builds a frozen summary from a live instance's full heavy-hitter
-    /// enumeration (threshold 0, canonical order) and scalar state.
-    pub fn capture(
-        name: &'static str,
-        entries: Vec<(K, f64)>,
-        untracked: f64,
-        processed: u64,
-        error_bound: f64,
-    ) -> Self {
-        let index = entries.iter().cloned().collect();
-        Self {
-            name,
-            entries,
-            index,
-            untracked,
-            processed,
-            error_bound,
-        }
-    }
-
-    /// An empty summary: what a reader sees before anything was published.
-    pub fn empty(name: &'static str) -> Self {
-        Self {
-            name,
-            entries: Vec::new(),
-            index: HashMap::new(),
-            untracked: 0.0,
-            processed: 0,
-            error_bound: 0.0,
-        }
-    }
-
-    /// Number of tracked flows in the summary.
-    pub fn tracked(&self) -> usize {
-        self.entries.len()
-    }
-}
-
-impl<K: Eq + Hash + Clone> WindowQuery<K> for FrozenWindow<K> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn estimate(&self, key: &K) -> f64 {
-        self.index.get(key).copied().unwrap_or(self.untracked)
-    }
-
-    fn heavy_hitters(&self, threshold: f64) -> Vec<(K, f64)> {
-        // `entries` is already in the live implementor's canonical order;
-        // filtering a stable descending order is the same as sorting the
-        // filtered set, so this matches the live answer bit-for-bit.
-        self.entries
-            .iter()
-            .filter(|(_, est)| *est >= threshold)
-            .cloned()
-            .collect()
-    }
-
-    fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    fn error_bound(&self) -> f64 {
-        self.error_bound
-    }
-
-    fn untracked_estimate(&self) -> f64 {
-        self.untracked
-    }
 }
 
 /// An immutable point-in-time summary of a hierarchical heavy-hitters
@@ -295,16 +186,6 @@ impl<Hi: Hierarchy> FrozenHhh<Hi> {
     /// The window size `W` the summary was captured over.
     pub fn window(&self) -> usize {
         self.window
-    }
-
-    /// Candidate prefixes in the captured enumeration order.
-    pub fn candidates(&self) -> &[Hi::Prefix] {
-        &self.candidates
-    }
-
-    /// The additive sampling compensation used by `output`.
-    pub fn sampling_slack(&self) -> f64 {
-        self.sampling_slack
     }
 }
 

@@ -42,7 +42,7 @@ use std::hash::Hash;
 use memento_hierarchy::Hierarchy;
 use memento_sketches::{ExactWindow, SpaceSaving};
 
-pub use crate::query::{FrozenHhh, FrozenWindow, HhhQuery, WindowQuery};
+pub use crate::query::{FrozenHhh, HhhQuery, WindowQuery};
 
 use crate::delta::WindowPatch;
 use crate::h_memento::HMemento;

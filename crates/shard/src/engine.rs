@@ -4,10 +4,12 @@
 //! [`PublishPolicy`], and implements the one [`Ingest`] contract once for
 //! every algorithm it scales. What differs between per-flow estimation and
 //! hierarchical heavy hitters — the routed item, the part a shard freezes
-//! for a publication and how the parts merge — is named by the small
-//! [`Shard`] trait, which [`BoxedEstimator`](crate::BoxedEstimator) and
-//! [`HMemento`](memento_core::HMemento) implement. Time-based windows come
-//! from wrapping the engine in a [`TimedWindow`](memento_core::TimedWindow).
+//! for a publication and the view that part becomes — is named by the
+//! small [`Shard`] trait, which [`BoxedEstimator`](crate::BoxedEstimator)
+//! and [`HMemento`](memento_core::HMemento) implement; one
+//! [`EngineSnapshot`] merges the views of either kind. Time-based windows
+//! come from wrapping the engine in a
+//! [`TimedWindow`](memento_core::TimedWindow).
 
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -19,24 +21,25 @@ use memento_hierarchy::Hierarchy;
 use memento_sketches::fasthash;
 
 use crate::router::Router;
-use crate::snapshot::{PublishPolicy, SnapshotHub};
+use crate::snapshot::{EngineSnapshot, PublishPolicy, SnapshotHub};
 use crate::worker::ShardWorker;
 use crate::{DEFAULT_FLUSH_THRESHOLD, DEFAULT_QUEUE_DEPTH};
 
-/// The stateful closure that merges one epoch's frozen parts, in shard
-/// order, into that epoch's snapshot.
-pub type Assembler<A> =
-    Box<dyn FnMut(u64, Vec<<A as Shard>::Part>) -> <A as Shard>::Snapshot + Send>;
+/// The stateful closure that turns one epoch's frozen parts, in shard
+/// order, into that epoch's per-shard views.
+pub type Assembler<A> = Box<dyn FnMut(Vec<<A as Shard>::Part>) -> Vec<<A as Shard>::View> + Send>;
 
 /// One per-shard algorithm the [`Engine`] can scale: the item it routes,
-/// the part it freezes for a publication, and how the parts merge.
+/// the part it freezes for a publication, and the view that part becomes.
+/// The views of one epoch make up its [`EngineSnapshot`], whose query
+/// implementation is the merge rule.
 pub trait Shard: Send + Sized + 'static {
     /// The routed unit: a flow key or a hierarchy item.
     type Item: Hash + Clone + Send + 'static;
     /// What one shard delivers for one publication epoch.
     type Part: Send + 'static;
-    /// The merged, immutable view of one epoch that queries answer from.
-    type Snapshot: Send + Sync + 'static;
+    /// One shard's immutable view of one epoch, which queries answer from.
+    type View: Send + Sync + 'static;
 
     /// Panics unless the engine can scale this algorithm: its `skip` must
     /// anchor a shard's window at the global stream position. The default
@@ -59,13 +62,8 @@ pub trait Shard: Send + Sized + 'static {
     fn space_bytes(&self) -> usize;
 
     /// The engine's assembler, built once at construction for an engine
-    /// named `name` over `shards` shards whose worst error bound is
-    /// `error_bound`.
-    fn assembler(name: &'static str, shards: usize, error_bound: f64) -> Assembler<Self>;
-
-    /// `snapshot` re-stamped as `epoch`: the publication of an engine that
-    /// has not changed since `snapshot` was assembled.
-    fn restamped(snapshot: &Self::Snapshot, epoch: u64) -> Self::Snapshot;
+    /// named `name` over `shards` shards.
+    fn assembler(name: &'static str, shards: usize) -> Assembler<Self>;
 }
 
 /// An algorithm scaled across worker threads, with **global-position
@@ -93,7 +91,7 @@ pub trait Shard: Send + Sized + 'static {
 ///
 /// **Queries are served from published snapshots**: per the
 /// [`PublishPolicy`], the engine periodically freezes every shard into one
-/// immutable [`Shard::Snapshot`] that the engine's own query methods — and
+/// immutable [`EngineSnapshot`] that the engine's own query methods — and
 /// any number of [`Reader`] handles ([`Self::reader`]) — answer from. With
 /// the default `on_query = true` policy the engine's own queries force a
 /// publication first, reproducing the flush-then-read answers
@@ -120,14 +118,11 @@ pub trait Shard: Send + Sized + 'static {
 /// [`PublishPolicy::on_query`]). [`Reader`]s keep answering from the last
 /// published snapshot, and dropping the engine is clean.
 pub struct Engine<A: Shard> {
-    name: &'static str,
     workers: Vec<ShardWorker<A>>,
     /// Gap-stamped buffers and position bookkeeping. Behind a mutex so the
     /// `&self` query methods can ship them; updates take `&mut self`, so
     /// the lock is uncontended.
     state: Mutex<Router<A::Item>>,
-    /// Ship a shard's buffer once it holds this many items.
-    pub(crate) flush_threshold: usize,
     /// Snapshot publication cadence and on-query behaviour.
     policy: PublishPolicy,
     /// Batches shipped since the last publication (mutated only under the
@@ -136,11 +131,10 @@ pub struct Engine<A: Shard> {
     /// Freeze rounds actually enqueued to the workers (diagnostics: lets
     /// tests assert the unchanged-engine short circuit skips them).
     freezes: AtomicUsize,
-    /// Snapshot assembly and the epoch double buffer, shared with every
-    /// [`Reader`].
-    hub: Arc<SnapshotHub<A::Part, A::Snapshot>>,
-    /// Worst per-shard error bound, constant per configuration.
-    error_bound: f64,
+    /// Snapshot assembly and the published-snapshot pointer, shared with
+    /// every [`Reader`]. It also holds the engine's name and worst
+    /// per-shard error bound.
+    hub: Arc<SnapshotHub<A::Part, A::View>>,
 }
 
 impl<A: Shard> Engine<A> {
@@ -173,17 +167,14 @@ impl<A: Shard> Engine<A> {
                 ShardWorker::spawn(format!("{name}-shard-{i}"), DEFAULT_QUEUE_DEPTH, algorithm)
             })
             .collect();
-        let hub = SnapshotHub::new(shards, A::assembler(name, shards, error_bound));
+        let hub = SnapshotHub::new(name, shards, error_bound, A::assembler(name, shards));
         Engine {
-            name,
             workers,
             state: Mutex::new(Router::new(shards)),
-            flush_threshold: DEFAULT_FLUSH_THRESHOLD,
             policy: PublishPolicy::default(),
             shipped: AtomicUsize::new(0),
             freezes: AtomicUsize::new(0),
             hub: Arc::new(hub),
-            error_bound,
         }
     }
 
@@ -211,8 +202,6 @@ impl<A: Shard> Engine<A> {
     pub fn reader(&self) -> Reader<A> {
         Reader {
             hub: Arc::clone(&self.hub),
-            name: self.name,
-            error_bound: self.error_bound,
         }
     }
 
@@ -245,7 +234,7 @@ impl<A: Shard> Engine<A> {
     /// Buffers one routed item; ships the shard's buffer once full, then
     /// publishes a snapshot if the periodic cadence is due.
     fn push(&self, state: &mut Router<A::Item>, shard: usize, item: A::Item) {
-        if state.push(shard, item, self.flush_threshold) >= self.flush_threshold {
+        if state.push(shard, item, DEFAULT_FLUSH_THRESHOLD) >= DEFAULT_FLUSH_THRESHOLD {
             self.ship_shard(state, shard);
             if self.policy.every_batches > 0
                 && self.shipped.load(Ordering::Relaxed) >= self.policy.every_batches
@@ -267,7 +256,7 @@ impl<A: Shard> Engine<A> {
     /// afterwards means the shards are bit-identical to what the last
     /// freeze round saw. When additionally every allocated epoch has been
     /// published (no freeze jobs in flight), the latest snapshot is
-    /// re-published under the new epoch ([`Shard::restamped`]) without
+    /// re-published under the new epoch, sharing its views, without
     /// touching a worker. Epoch allocation and the quiescence check both
     /// happen under the router lock, so no worker delivery can race the
     /// restamp.
@@ -277,11 +266,7 @@ impl<A: Shard> Engine<A> {
         let epoch = self.hub.begin_epoch();
         // Nothing published yet (the first publication of an empty engine)
         // makes the restamp refuse: fall through to a real freeze round.
-        if !(unchanged
-            && self
-                .hub
-                .publish_restamped(epoch, |snapshot| A::restamped(snapshot, epoch)))
-        {
+        if !(unchanged && self.hub.publish_restamped(epoch)) {
             self.freezes.fetch_add(1, Ordering::Relaxed);
             for (shard, worker) in self.workers.iter().enumerate() {
                 let hub = Arc::clone(&self.hub);
@@ -303,8 +288,8 @@ impl<A: Shard> Engine<A> {
 
     /// Publishes a fresh snapshot *now* — ships all pending buffers,
     /// freezes every shard at the current global position, waits for the
-    /// merged snapshot to appear in the double buffer — and returns its
-    /// epoch. This is the explicit synchronization point: after
+    /// merged snapshot to appear in the published-snapshot pointer — and
+    /// returns its epoch. This is the explicit synchronization point: after
     /// `publish_now` returns, every reader observes a snapshot at least
     /// this fresh.
     ///
@@ -336,7 +321,7 @@ impl<A: Shard> Engine<A> {
     /// one, after forcing a publication when the policy says queries must
     /// observe everything ingested so far (or when nothing was published
     /// yet).
-    fn read_snapshot(&self) -> Arc<A::Snapshot> {
+    fn read_snapshot(&self) -> Arc<EngineSnapshot<A::View>> {
         if self.policy.on_query || self.hub.latest().is_none() {
             self.publish_now();
         }
@@ -482,16 +467,15 @@ impl<A: Shard> Ingest<A::Item> for Engine<A> {
 impl<A: Shard> std::fmt::Debug for Engine<A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("name", &self.name)
+            .field("name", &self.hub.name)
             .field("shards", &self.workers.len())
-            .field("flush_threshold", &self.flush_threshold)
             .field("policy", &self.policy)
             .finish_non_exhaustive()
     }
 }
 
-/// Answered from the latest published snapshot (the merge rule is the
-/// snapshot type's). Under the default [`PublishPolicy::on_query`] a
+/// Answered from the latest published snapshot (the merge rule is
+/// [`EngineSnapshot`]'s). Under the default [`PublishPolicy::on_query`] a
 /// publication is forced first, so answers reflect every preceding update;
 /// with `on_query = false` they are stale by at most one publication
 /// interval. `processed` doubles as the drain barrier the throughput
@@ -501,10 +485,10 @@ impl<A: Shard> std::fmt::Debug for Engine<A> {
 /// [`Engine`] docs).
 impl<K: Clone, A: Shard> WindowQuery<K> for Engine<A>
 where
-    A::Snapshot: WindowQuery<K>,
+    EngineSnapshot<A::View>: WindowQuery<K>,
 {
     fn name(&self) -> &'static str {
-        self.name
+        self.hub.name
     }
 
     fn estimate(&self, key: &K) -> f64 {
@@ -523,7 +507,7 @@ where
     /// global stream, so the merged per-flow error is the worst per-shard
     /// bound, not their sum.
     fn error_bound(&self) -> f64 {
-        self.error_bound
+        self.hub.error_bound
     }
 }
 
@@ -531,10 +515,10 @@ where
 /// semantics as the engine's [`WindowQuery`] implementation.
 impl<Hi: Hierarchy, A: Shard> HhhQuery<Hi> for Engine<A>
 where
-    A::Snapshot: HhhQuery<Hi>,
+    EngineSnapshot<A::View>: HhhQuery<Hi>,
 {
     fn name(&self) -> &'static str {
-        self.name
+        self.hub.name
     }
 
     fn estimate(&self, prefix: &Hi::Prefix) -> f64 {
@@ -553,27 +537,21 @@ where
 /// A cheaply clonable, `Send + Sync` handle answering the query traits from
 /// an [`Engine`]'s latest published snapshot.
 ///
-/// A query loads the epoch double buffer — an atomic epoch load, then a
-/// pointer clone under that epoch's slot mutex, retried if a newer
-/// publication reused the slot in between — and answers from the immutable
-/// merged summary. It never touches a worker FIFO or the router lock, so
-/// it never waits on ingest; it contends only with one publication's
-/// pointer store. Answers are stale by at most one publication interval
-/// ([`PublishPolicy::every_batches`]). Before the first publication the
-/// reader reports the empty window (`processed` = 0, zero estimates, no
-/// heavy hitters).
+/// A query clones the published-snapshot pointer under its mutex and
+/// answers from the immutable merged views. It never touches a worker FIFO
+/// or the router lock, so it never waits on ingest; it contends only with
+/// one publication's pointer store. Answers are stale by at most one
+/// publication interval ([`PublishPolicy::every_batches`]). Before the
+/// first publication the reader reports the empty window (`processed` = 0,
+/// zero estimates, no heavy hitters).
 pub struct Reader<A: Shard> {
-    hub: Arc<SnapshotHub<A::Part, A::Snapshot>>,
-    name: &'static str,
-    error_bound: f64,
+    hub: Arc<SnapshotHub<A::Part, A::View>>,
 }
 
 impl<A: Shard> Clone for Reader<A> {
     fn clone(&self) -> Self {
         Reader {
             hub: Arc::clone(&self.hub),
-            name: self.name,
-            error_bound: self.error_bound,
         }
     }
 }
@@ -581,7 +559,7 @@ impl<A: Shard> Clone for Reader<A> {
 impl<A: Shard> std::fmt::Debug for Reader<A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Reader")
-            .field("name", &self.name)
+            .field("name", &self.hub.name)
             .finish_non_exhaustive()
     }
 }
@@ -590,18 +568,19 @@ impl<A: Shard> Reader<A> {
     /// The latest published snapshot, or `None` before the first
     /// publication. Grabbing the `Arc` pins one epoch: every query against
     /// it is internally consistent, which is what the torn-read stress
-    /// tests assert.
-    pub fn latest(&self) -> Option<Arc<A::Snapshot>> {
+    /// tests assert, and keeps answering the same while later
+    /// publications move on.
+    pub fn latest(&self) -> Option<Arc<EngineSnapshot<A::View>>> {
         self.hub.latest()
     }
 }
 
 impl<K: Clone, A: Shard> WindowQuery<K> for Reader<A>
 where
-    A::Snapshot: WindowQuery<K>,
+    EngineSnapshot<A::View>: WindowQuery<K>,
 {
     fn name(&self) -> &'static str {
-        self.name
+        self.hub.name
     }
 
     fn estimate(&self, key: &K) -> f64 {
@@ -619,16 +598,16 @@ where
     }
 
     fn error_bound(&self) -> f64 {
-        self.error_bound
+        self.hub.error_bound
     }
 }
 
 impl<Hi: Hierarchy, A: Shard> HhhQuery<Hi> for Reader<A>
 where
-    A::Snapshot: HhhQuery<Hi>,
+    EngineSnapshot<A::View>: HhhQuery<Hi>,
 {
     fn name(&self) -> &'static str {
-        self.name
+        self.hub.name
     }
 
     fn estimate(&self, prefix: &Hi::Prefix) -> f64 {

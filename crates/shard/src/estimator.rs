@@ -3,11 +3,11 @@
 use std::hash::Hash;
 
 use memento_core::traits::SlidingWindowEstimator;
-use memento_core::{DeltaAssembler, Memento, Wcss, WindowPatch};
+use memento_core::{DeltaWindow, Memento, Wcss, WindowPatch};
 use memento_sketches::ExactWindow;
 
 use crate::engine::{Assembler, Engine, Reader, Shard};
-use crate::snapshot::EngineSnapshot;
+use crate::snapshot::DeltaAssembler;
 
 /// The boxed per-shard estimator each worker thread owns.
 pub type BoxedEstimator<K> = Box<dyn SlidingWindowEstimator<K> + Send>;
@@ -16,10 +16,11 @@ pub type BoxedEstimator<K> = Box<dyn SlidingWindowEstimator<K> + Send>;
 /// over [`BoxedEstimator`]s. A flow lives wholly in the shard its key
 /// routes to, so per-flow queries are answered by that shard alone and
 /// heavy-hitter queries are the union of the per-shard answers (see
-/// [`EngineSnapshot`]). The engine implements [`SlidingWindowEstimator`]
-/// itself, so every generic driver in the workspace — the figure
-/// harnesses, the detection disciplines, the flood-mitigation scenario,
-/// the time plane — can run sharded without modification.
+/// [`EngineSnapshot`](crate::EngineSnapshot)). The engine implements
+/// [`SlidingWindowEstimator`] itself, so every generic driver in the
+/// workspace — the figure harnesses, the detection disciplines, the
+/// flood-mitigation scenario, the time plane — can run sharded without
+/// modification.
 pub type ShardedEstimator<K> = Engine<BoxedEstimator<K>>;
 
 /// A [`Reader`] of a [`ShardedEstimator`]'s snapshots.
@@ -30,7 +31,8 @@ impl<K: Eq + Hash + Clone + Send + Sync + 'static> Shard for BoxedEstimator<K> {
     /// Incremental freezes: a [`WindowPatch`] covering only the slots
     /// dirtied since the shard's previous freeze.
     type Part = WindowPatch<K>;
-    type Snapshot = EngineSnapshot<K>;
+    /// The shard's patches folded onto a persistent [`DeltaWindow`].
+    type View = DeltaWindow<K>;
 
     fn assert_shardable(&self) {
         assert!(
@@ -66,25 +68,20 @@ impl<K: Eq + Hash + Clone + Send + Sync + 'static> Shard for BoxedEstimator<K> {
     /// The persistent merge state of delta publication: one rotating view
     /// assembler per shard, owned by the closure. Each epoch folds the
     /// shards' patches onto assembler-owned views (in-place hash-table
-    /// writes — the rotation keeps the mutated view out of the double
-    /// buffer's retention window) and publishes O(1) clones, so assembling
-    /// costs O(slots dirtied since the previous epoch) instead of
-    /// O(shards × summary size).
-    fn assembler(name: &'static str, shards: usize, error_bound: f64) -> Assembler<Self> {
+    /// writes — the rotation keeps the patched view out of the published
+    /// snapshot) and publishes O(1) clones, so assembling costs O(slots
+    /// dirtied since the previous epoch) instead of O(shards × summary
+    /// size).
+    fn assembler(name: &'static str, shards: usize) -> Assembler<Self> {
         let mut merged: Vec<DeltaAssembler<K>> =
             (0..shards).map(|_| DeltaAssembler::new(name)).collect();
-        Box::new(move |epoch, parts| {
-            let views = merged
+        Box::new(move |parts| {
+            merged
                 .iter_mut()
                 .zip(parts)
                 .map(|(assembler, patch)| assembler.publish(patch))
-                .collect();
-            EngineSnapshot::assemble(epoch, name, error_bound, views)
+                .collect()
         })
-    }
-
-    fn restamped(snapshot: &EngineSnapshot<K>, epoch: u64) -> EngineSnapshot<K> {
-        snapshot.restamped(epoch)
     }
 }
 
@@ -119,18 +116,6 @@ impl<K: Eq + Hash + Clone + Send + Sync + 'static> ShardedEstimator<K> {
             Box::new(ExactWindow::new(window))
         })
     }
-
-    /// Overrides the per-shard batch size at which buffered keys are shipped
-    /// to the workers (default [`crate::DEFAULT_FLUSH_THRESHOLD`]).
-    #[deprecated(
-        since = "0.2.0",
-        note = "configure the query plane through `with_policy(PublishPolicy { .. })`; \
-                the ship batch size is an internal knob"
-    )]
-    pub fn set_flush_threshold(&mut self, threshold: usize) {
-        assert!(threshold > 0, "flush threshold must be positive");
-        self.flush_threshold = threshold;
-    }
 }
 
 impl<K: Eq + Hash + Clone + Send + Sync + 'static> SlidingWindowEstimator<K>
@@ -144,8 +129,8 @@ impl<K: Eq + Hash + Clone + Send + Sync + 'static> SlidingWindowEstimator<K>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HhhEngineSnapshot, PublishPolicy, ShardedHhh};
-    use memento_core::{GrainMap, HMemento, HhhQuery, TimedWindow, WindowQuery};
+    use crate::{EngineSnapshot, PublishPolicy, ShardedHhh};
+    use memento_core::{FrozenHhh, GrainMap, HMemento, HhhQuery, TimedWindow, WindowQuery};
     use memento_hierarchy::{Prefix1D, SrcHierarchy};
     use memento_sketches::fasthash;
 
@@ -153,12 +138,12 @@ mod tests {
     /// fixed probe set), so an engine-level test takes the HHH engine as one
     /// more input.
     trait Probe: Shard {
-        fn probe(snapshot: &Self::Snapshot) -> (u64, u64, Vec<f64>);
+        fn probe(snapshot: &EngineSnapshot<Self::View>) -> (u64, u64, Vec<f64>);
     }
 
     impl Probe for BoxedEstimator<u64> {
         /// Keys `0..64`, which cover every test stream's keys.
-        fn probe(s: &EngineSnapshot<u64>) -> (u64, u64, Vec<f64>) {
+        fn probe(s: &EngineSnapshot<DeltaWindow<u64>>) -> (u64, u64, Vec<f64>) {
             let estimates = (0..64u64).map(|key| s.estimate(&key)).collect();
             (s.epoch(), s.processed(), estimates)
         }
@@ -166,7 +151,7 @@ mod tests {
 
     impl Probe for HMemento<SrcHierarchy> {
         /// Every /8.
-        fn probe(s: &HhhEngineSnapshot<SrcHierarchy>) -> (u64, u64, Vec<f64>) {
+        fn probe(s: &EngineSnapshot<FrozenHhh<SrcHierarchy>>) -> (u64, u64, Vec<f64>) {
             let estimates = (0..=255u32)
                 .map(|a| s.estimate(&Prefix1D::new(a << 24, 8)))
                 .collect();

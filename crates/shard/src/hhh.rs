@@ -5,7 +5,6 @@ use memento_core::{FrozenHhh, HMemento};
 use memento_hierarchy::Hierarchy;
 
 use crate::engine::{Assembler, Engine, Reader, Shard};
-use crate::snapshot::HhhEngineSnapshot;
 
 /// Sliding-window hierarchical heavy hitters scaled across worker threads:
 /// the [`Engine`] over [`HMemento`] shards.
@@ -25,7 +24,7 @@ use crate::snapshot::HhhEngineSnapshot;
 /// prefix shows up in some shard at only `θ/N` of that shard's window —
 /// candidates are therefore collected at the per-shard threshold `θ/N` and
 /// the union is re-validated against the global `θ·W` bar using the summed
-/// (upper-bound) estimates (see [`HhhEngineSnapshot`]).
+/// (upper-bound) estimates (see [`EngineSnapshot`](crate::EngineSnapshot)).
 pub type ShardedHhh<Hi> = Engine<HMemento<Hi>>;
 
 /// A [`Reader`] of a [`ShardedHhh`]'s snapshots.
@@ -40,7 +39,8 @@ where
     type Item = Hi::Item;
     /// A full immutable summary: candidates with their frequency bounds.
     type Part = FrozenHhh<Hi>;
-    type Snapshot = HhhEngineSnapshot<Hi>;
+    /// The part itself.
+    type View = FrozenHhh<Hi>;
 
     /// HHH queries report no additive error bound.
     fn error_bound(&self) -> f64 {
@@ -64,12 +64,8 @@ where
         self.as_memento().space_bytes()
     }
 
-    fn assembler(name: &'static str, _: usize, _: f64) -> Assembler<Self> {
-        Box::new(move |epoch, parts| HhhEngineSnapshot::assemble(epoch, name, parts))
-    }
-
-    fn restamped(snapshot: &HhhEngineSnapshot<Hi>, epoch: u64) -> HhhEngineSnapshot<Hi> {
-        snapshot.restamped(epoch)
+    fn assembler(_: &'static str, _: usize) -> Assembler<Self> {
+        Box::new(|parts| parts)
     }
 }
 

@@ -54,17 +54,17 @@
 //!
 //! Queries no longer piggyback on the per-shard update FIFOs. Instead the
 //! engine runs a **snapshot publication pipeline** ([`PublishPolicy`]):
-//! workers periodically freeze per-shard summaries — estimator shards
-//! freeze *incrementally* ([`memento_core::WindowPatch`] covering only the
-//! slots dirtied since the previous epoch, folded onto persistent
-//! [`memento_core::DeltaAssembler`] views, so publication costs O(dirty)
+//! workers periodically freeze per-shard parts — estimator shards freeze
+//! *incrementally* ([`memento_core::WindowPatch`] covering only the slots
+//! dirtied since the previous epoch, folded onto two rotating persistent
+//! [`memento_core::DeltaWindow`] views, so publication costs O(dirty)
 //! rather than O(k) per shard; unchanged engines re-stamp the previous
 //! snapshot without freezing at all), H-Memento shards freeze full
-//! immutable [`memento_core::FrozenHhh`] summaries — and each complete epoch is
-//! assembled into an [`EngineSnapshot`] (or [`HhhEngineSnapshot`]) under
-//! the global-position-window contract, then swapped into an epoch-tagged
-//! double buffer. The
-//! engine's own [`WindowQuery`](memento_core::WindowQuery) /
+//! immutable [`memento_core::FrozenHhh`] summaries — and each complete
+//! epoch's per-shard views are stamped into one [`EngineSnapshot`] under
+//! the global-position-window contract and stored in the engine's one
+//! published-snapshot pointer. The engine's own
+//! [`WindowQuery`](memento_core::WindowQuery) /
 //! [`HhhQuery`](memento_core::HhhQuery) methods answer from the latest
 //! snapshot (forcing a publication first under the default
 //! `on_query = true`, which reproduces the historical flush-then-read
@@ -105,10 +105,10 @@ mod worker;
 pub use engine::{Assembler, Engine, Reader, Shard};
 pub use estimator::{BoxedEstimator, ShardedEstimator, SnapshotReader};
 pub use hhh::{HhhSnapshotReader, ShardedHhh};
-pub use snapshot::{EngineSnapshot, HhhEngineSnapshot, PublishPolicy};
+pub use snapshot::{EngineSnapshot, PublishPolicy};
 
-/// Default number of keys buffered per shard before a batch is shipped to
-/// the worker. Large enough to amortize the channel send and let the
+/// Number of keys buffered per shard before a batch is shipped to the
+/// worker. Large enough to amortize the channel send and let the
 /// geometric-skip batch path stride, small enough to keep queries fresh.
 pub const DEFAULT_FLUSH_THRESHOLD: usize = 2_048;
 

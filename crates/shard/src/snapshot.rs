@@ -10,23 +10,21 @@
 //!    every shard to the current global stream position — and enqueues one
 //!    *freeze job* per worker FIFO;
 //! 2. each worker freezes its shard — an estimator shard an incremental
-//!    [`WindowPatch`](memento_core::WindowPatch) covering only the slots
-//!    dirtied since its previous freeze, an HHH shard a full
-//!    [`FrozenHhh`](memento_core::query::FrozenHhh) — and delivers it to the
+//!    [`WindowPatch`] covering only the slots dirtied since its previous
+//!    freeze, an HHH shard a full [`FrozenHhh`] — and delivers it to the
 //!    engine's [`SnapshotHub`];
-//! 3. when the hub holds all `N` parts of an epoch it assembles the merged
-//!    [`EngineSnapshot`] / [`HhhEngineSnapshot`] under the
-//!    global-position-window contract and swaps it into an epoch-stamped
-//!    double buffer ([`SnapshotCell`]). Estimator assembly is *persistent*:
-//!    the assembler owns one [`DeltaWindow`](memento_core::DeltaWindow) per
-//!    shard, applies each epoch's patches onto it and snapshots the result
-//!    with O(1) structural-sharing clones — publication costs
-//!    O(dirty slots), not O(shards × summary size);
+//! 3. when the hub holds all `N` parts of an epoch it turns them into one
+//!    view per shard, stamps them into an [`EngineSnapshot`] and stores it
+//!    in the hub's one published-snapshot pointer. An HHH part is its own
+//!    view; an estimator shard's patch is folded onto a [`DeltaAssembler`]
+//!    that rotates through two persistent [`DeltaWindow`]s beside the
+//!    pointer, so publication costs O(dirty slots), not O(shards × summary
+//!    size);
 //! 4. any number of [`Reader`](crate::Reader) handles — cheaply clonable,
 //!    `Send + Sync` — answer `estimate` / `heavy_hitters` / `output` /
 //!    `processed` from the latest snapshot at memory speed. A read never
 //!    touches a worker FIFO or the router lock; it contends only with one
-//!    publication's pointer store into the double buffer.
+//!    publication's pointer store.
 //!
 //! **Staleness bound.** A reader's answer reflects the stream as of the
 //! latest published epoch, which the ingest path refreshes at least every
@@ -41,23 +39,25 @@
 //! completes at its last delivery; since every shard delivers `e` before
 //! `e+1`, all parts of `e` are in before the delivery that completes `e+1`
 //! — and deliveries are serialized under the hub's pending lock, so the
-//! double buffer is always written in increasing epoch order.
+//! pointer only moves forward and the assemblers see epochs in order.
+//! Assembly stays there, not on the workers: a fast shard could otherwise
+//! run a whole rotation ahead of an incomplete epoch and patch a view that
+//! epoch's snapshot is about to publish.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use memento_core::query::{FrozenHhh, HhhQuery, WindowQuery};
-use memento_core::DeltaWindow;
+use memento_core::{DeltaWindow, WindowPatch};
 use memento_hierarchy::Hierarchy;
 use memento_sketches::fasthash;
 
 /// When the sharded engine publishes query snapshots.
 ///
-/// Replaces the old ad-hoc `flush()` + `set_flush_threshold()` pair: the
-/// publication cadence is the one knob that matters for the query plane,
-/// and the on-query behaviour makes the staleness trade-off explicit.
+/// The publication cadence is the query plane's one knob, and the
+/// on-query behaviour makes the staleness trade-off explicit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PublishPolicy {
     /// Publish a fresh snapshot after this many shipped per-shard batches.
@@ -87,55 +87,6 @@ impl Default for PublishPolicy {
     }
 }
 
-/// An epoch-stamped double buffer: the hand-rolled arc-swap.
-///
-/// The writer alternates between two slots (`epoch & 1`) and advances the
-/// epoch counter with `Release` ordering after the slot is written; readers
-/// load the counter with `Acquire`, lock the matching slot and retry if a
-/// newer publication overwrote it in between (possible only when two
-/// publications complete during one read — readers never block the writer
-/// for more than a pointer clone either way).
-#[derive(Debug)]
-struct SnapshotCell<T> {
-    epoch: AtomicU64,
-    slots: [Mutex<(u64, Option<Arc<T>>)>; 2],
-}
-
-impl<T> SnapshotCell<T> {
-    fn new() -> Self {
-        SnapshotCell {
-            epoch: AtomicU64::new(0),
-            slots: [Mutex::new((0, None)), Mutex::new((0, None))],
-        }
-    }
-
-    /// Publishes `value` as `epoch`. Callers must publish in increasing
-    /// epoch order (the hub's pending lock guarantees it).
-    fn publish(&self, epoch: u64, value: Arc<T>) {
-        let slot = (epoch & 1) as usize;
-        *self.slots[slot].lock().expect("snapshot slot poisoned") = (epoch, Some(value));
-        self.epoch.store(epoch, Ordering::Release);
-    }
-
-    /// The latest published value, or `None` before the first publication.
-    fn load(&self) -> Option<Arc<T>> {
-        loop {
-            let epoch = self.epoch.load(Ordering::Acquire);
-            if epoch == 0 {
-                return None;
-            }
-            let slot = self.slots[(epoch & 1) as usize]
-                .lock()
-                .expect("snapshot slot poisoned");
-            if slot.0 == epoch {
-                return slot.1.clone();
-            }
-            // The slot was re-used by a newer publication between the epoch
-            // load and the lock; retry against the newer epoch.
-        }
-    }
-}
-
 /// A partially delivered publication epoch.
 #[derive(Debug)]
 struct PendingEpoch<P> {
@@ -145,51 +96,66 @@ struct PendingEpoch<P> {
 }
 
 /// The hub's mutable core: partially delivered epochs plus the assembler
-/// that folds complete ones into snapshots. One mutex guards both because
-/// the assembler is *stateful* (PR 8): the estimator engines hand it per
-/// shard patches and it owns the persistent merged [`DeltaWindow`]s they
-/// apply onto — epochs must reach it exactly once, in epoch order, which is
-/// precisely the order deliveries complete in under this lock.
-struct HubState<P, S> {
+/// that turns complete ones into per-shard views. One mutex guards both
+/// because the assembler is *stateful*: the estimator engines' assembler
+/// owns the persistent [`DeltaWindow`]s the patches apply onto, so epochs
+/// must reach it exactly once, in epoch order, which is precisely the
+/// order deliveries complete in under this lock.
+struct HubState<P, V> {
     pending: Vec<PendingEpoch<P>>,
-    assemble: Box<dyn FnMut(u64, Vec<P>) -> S + Send>,
+    assemble: Box<dyn FnMut(Vec<P>) -> Vec<V> + Send>,
 }
 
 /// Collects per-shard frozen parts, assembles complete epochs into merged
 /// snapshots and publishes them. One hub per engine, shared by the router
 /// side (epoch allocation), the worker threads (delivery) and every reader
 /// handle (loads) through an `Arc`.
-pub(crate) struct SnapshotHub<P, S> {
+pub(crate) struct SnapshotHub<P, V> {
+    /// The engine's name, stamped on every snapshot.
+    pub(crate) name: &'static str,
+    /// The engine's worst per-shard error bound, stamped on every snapshot.
+    pub(crate) error_bound: f64,
     shards: usize,
     epochs: AtomicU64,
-    state: Mutex<HubState<P, S>>,
-    cell: SnapshotCell<S>,
-    /// Highest fully published epoch, guarded for `wait_published`.
-    published: Mutex<u64>,
-    published_cv: Condvar,
+    state: Mutex<HubState<P, V>>,
+    /// The published-snapshot pointer: the one snapshot the hub retains.
+    /// A publication replaces it and releases the previous one, which is
+    /// what lets a [`DeltaAssembler`] rotate through only two views.
+    /// Publications come in epoch order, so its snapshot's epoch is also
+    /// the highest published one.
+    latest: Mutex<Option<Arc<EngineSnapshot<V>>>>,
+    /// Signalled on every publication, for `wait_published`.
+    published: Condvar,
 }
 
-impl<P, S> std::fmt::Debug for SnapshotHub<P, S> {
+impl<P, V> std::fmt::Debug for SnapshotHub<P, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SnapshotHub")
+            .field("name", &self.name)
             .field("shards", &self.shards)
             .field("epochs", &self.epochs.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
 }
 
-impl<P, S> SnapshotHub<P, S> {
-    pub(crate) fn new(shards: usize, assemble: Box<dyn FnMut(u64, Vec<P>) -> S + Send>) -> Self {
+impl<P, V> SnapshotHub<P, V> {
+    pub(crate) fn new(
+        name: &'static str,
+        shards: usize,
+        error_bound: f64,
+        assemble: Box<dyn FnMut(Vec<P>) -> Vec<V> + Send>,
+    ) -> Self {
         SnapshotHub {
+            name,
+            error_bound,
             shards,
             epochs: AtomicU64::new(0),
             state: Mutex::new(HubState {
                 pending: Vec::new(),
                 assemble,
             }),
-            cell: SnapshotCell::new(),
-            published: Mutex::new(0),
-            published_cv: Condvar::new(),
+            latest: Mutex::new(None),
+            published: Condvar::new(),
         }
     }
 
@@ -228,35 +194,51 @@ impl<P, S> SnapshotHub<P, S> {
             .into_iter()
             .map(|p| p.expect("complete epoch missing a part"))
             .collect();
-        // Assemble and swap while still holding the state lock: delivery
+        // Assemble and publish while still holding the state lock: delivery
         // order is the publication order, so the stateful assembler sees
-        // epochs strictly in order and the cell only moves forward.
-        self.cell
-            .publish(epoch, Arc::new((state.assemble)(epoch, parts)));
-        drop(state);
-        let mut published = self.published.lock().expect("published counter poisoned");
-        if epoch > *published {
-            *published = epoch;
-        }
-        self.published_cv.notify_all();
-        drop(published);
+        // epochs strictly in order, and the snapshot this publication
+        // releases is gone before the next assembly patches its views.
+        let views = (state.assemble)(parts);
+        self.publish(EngineSnapshot {
+            epoch,
+            name: self.name,
+            error_bound: self.error_bound,
+            shards: views.into(),
+        });
+    }
+
+    /// Stores `snapshot` in the pointer, releases the previous one and
+    /// wakes `wait_published`. Callers publish in increasing epoch order.
+    fn publish(&self, snapshot: EngineSnapshot<V>) {
+        let released = self.pointer().replace(Arc::new(snapshot));
+        self.published.notify_all();
+        drop(released);
+    }
+
+    fn pointer(&self) -> MutexGuard<'_, Option<Arc<EngineSnapshot<V>>>> {
+        self.latest.lock().expect("snapshot pointer poisoned")
+    }
+
+    /// The highest published epoch, 0 before the first publication.
+    fn epoch_of(latest: &Option<Arc<EngineSnapshot<V>>>) -> u64 {
+        latest.as_ref().map_or(0, |snapshot| snapshot.epoch)
     }
 
     /// Blocks until `epoch` (and everything before it) is published.
     pub(crate) fn wait_published(&self, epoch: u64) {
-        let mut published = self.published.lock().expect("published counter poisoned");
-        while *published < epoch {
-            published = self
-                .published_cv
-                .wait(published)
-                .expect("published counter poisoned");
+        let mut latest = self.pointer();
+        while Self::epoch_of(&latest) < epoch {
+            latest = self
+                .published
+                .wait(latest)
+                .expect("snapshot pointer poisoned");
         }
     }
 
     /// The latest published snapshot, or `None` before the first
     /// publication.
-    pub(crate) fn latest(&self) -> Option<Arc<S>> {
-        self.cell.load()
+    pub(crate) fn latest(&self) -> Option<Arc<EngineSnapshot<V>>> {
+        self.pointer().clone()
     }
 
     /// `true` when every allocated epoch has been published — no freeze
@@ -264,77 +246,118 @@ impl<P, S> SnapshotHub<P, S> {
     /// serializes `begin_epoch` (the engines' router lock) for the answer
     /// to stay true while they act on it.
     pub(crate) fn quiescent(&self) -> bool {
-        *self.published.lock().expect("published counter poisoned")
-            == self.epochs.load(Ordering::Relaxed)
+        Self::epoch_of(&self.pointer()) == self.epochs.load(Ordering::Relaxed)
     }
 
-    /// Publishes `f(latest)` as `epoch` without involving the workers: the
-    /// unchanged-engine short circuit. The caller must have allocated
-    /// `epoch` via [`Self::begin_epoch`] while the hub was [quiescent]
-    /// (`Self::quiescent`) — under the same lock that serializes epoch
-    /// allocation — so no worker-delivered epoch can race this
-    /// publication. Returns `false` (and publishes nothing) when nothing
-    /// was published yet.
-    pub(crate) fn publish_restamped(&self, epoch: u64, f: impl FnOnce(&S) -> S) -> bool {
-        let Some(latest) = self.cell.load() else {
+    /// Publishes the latest snapshot re-stamped as `epoch` without
+    /// involving the workers: the unchanged-engine short circuit. The
+    /// caller must have allocated `epoch` via [`Self::begin_epoch`] while
+    /// the hub was [quiescent](Self::quiescent) — under the same lock that
+    /// serializes epoch allocation — so no worker-delivered epoch can race
+    /// this publication. Returns `false` (and publishes nothing) when
+    /// nothing was published yet.
+    pub(crate) fn publish_restamped(&self, epoch: u64) -> bool {
+        let Some(latest) = self.latest() else {
             return false;
         };
-        self.cell.publish(epoch, Arc::new(f(&latest)));
-        let mut published = self.published.lock().expect("published counter poisoned");
-        if epoch > *published {
-            *published = epoch;
-        }
-        self.published_cv.notify_all();
-        drop(published);
+        self.publish(latest.restamped(epoch));
         true
     }
 }
 
-/// An immutable merged view of a [`crate::ShardedEstimator`] at one
-/// publication epoch: one delta-maintained [`DeltaWindow`] per shard, all
-/// anchored at the same global stream position.
+/// How many views a [`DeltaAssembler`] rotates through: two, because the
+/// published-snapshot pointer retains one snapshot. The view a publication
+/// patches was last published two publications ago, and the publication in
+/// between released that snapshot from the pointer, so (absent readers
+/// that pinned it) the view owns its table again and the patches apply in
+/// place.
+const ROTATION: usize = 2;
+
+/// Folds one shard's stream of [`WindowPatch`]es into publishable
+/// [`DeltaWindow`] clones, keeping the per-publication cost at
+/// O(dirty · `ROTATION`) hash-table writes.
 ///
-/// Implements [`WindowQuery`] with exactly the merge rules of the live
-/// engine — per-flow estimates answered by the owning shard (same
-/// [`fasthash::route`]), heavy hitters concatenated in shard order and
-/// re-sorted by descending estimate, `processed` the per-shard maximum — so
-/// snapshot answers are bit-for-bit what the FIFO path would have returned
-/// at the publication point.
-///
-/// The per-shard views are persistent structures (PR 8): cloning one into
-/// a snapshot shares all of its entry storage with the assembler's working
-/// copy, so a publication allocates proportionally to the slots *changed*
-/// since the previous epoch, not to the summary size.
-#[derive(Debug, Clone)]
-pub struct EngineSnapshot<K> {
-    epoch: u64,
-    name: &'static str,
-    error_bound: f64,
-    shards: Vec<DeltaWindow<K>>,
+/// A single view would make every `apply` copy on write: the clone
+/// published last epoch still shares its table, so `Arc::make_mut` must
+/// copy all O(k) entries. The assembler instead rotates through
+/// `ROTATION` views and keeps the last `ROTATION` patches, exactly what the
+/// view a publication lands on has not seen yet. A reader that still pins
+/// an old snapshot costs one table copy, never correctness.
+pub(crate) struct DeltaAssembler<K> {
+    views: Vec<DeltaWindow<K>>,
+    /// The last `ROTATION` patches, oldest first.
+    backlog: VecDeque<WindowPatch<K>>,
+    /// Publications so far; the next one lands on `views[published % ROTATION]`.
+    published: usize,
 }
 
-impl<K: Eq + Hash + Clone> EngineSnapshot<K> {
-    pub(crate) fn assemble(
-        epoch: u64,
-        name: &'static str,
-        error_bound: f64,
-        shards: Vec<DeltaWindow<K>>,
-    ) -> Self {
-        EngineSnapshot {
-            epoch,
-            name,
-            error_bound,
-            shards,
+impl<K: Eq + Hash + Clone> DeltaAssembler<K> {
+    /// An assembler whose views all start empty.
+    pub(crate) fn new(name: &'static str) -> Self {
+        DeltaAssembler {
+            views: (0..ROTATION).map(|_| DeltaWindow::empty(name)).collect(),
+            backlog: VecDeque::with_capacity(ROTATION),
+            published: 0,
         }
     }
 
+    /// Folds `patch` in and returns the up-to-date view for publication (an
+    /// O(1) clone: the assembler patches this view again only `ROTATION`
+    /// publications later, after the pointer has released it). A rebuild
+    /// replaces the whole table, so the replay starts at the newest rebuild
+    /// in the backlog.
+    pub(crate) fn publish(&mut self, patch: WindowPatch<K>) -> DeltaWindow<K> {
+        if self.backlog.len() == ROTATION {
+            self.backlog.pop_front();
+        }
+        self.backlog.push_back(patch);
+        let view = &mut self.views[self.published % ROTATION];
+        self.published += 1;
+        let from = self.backlog.iter().rposition(|p| p.rebuild).unwrap_or(0);
+        for patch in self.backlog.range(from..) {
+            view.apply(patch);
+        }
+        view.clone()
+    }
+}
+
+/// An immutable merged view of an [`Engine`](crate::Engine) at one
+/// publication epoch: one per-shard view per shard, all anchored at the
+/// same global stream position. The views sit behind one `Arc`, so
+/// re-stamping an unchanged engine's snapshot copies no summary.
+///
+/// * `EngineSnapshot<DeltaWindow<K>>`, a [`crate::ShardedEstimator`]'s,
+///   answers [`WindowQuery`]: per-flow estimates from the owning shard
+///   (same [`fasthash::route`]), heavy hitters concatenated in shard order
+///   and re-sorted by descending estimate, `processed` the per-shard
+///   maximum.
+/// * `EngineSnapshot<FrozenHhh<Hi>>`, a [`crate::ShardedHhh`]'s, answers
+///   [`HhhQuery`]: a prefix aggregates items from every shard, so
+///   `estimate` *sums* the per-shard upper bounds in shard order, and
+///   `output` collects candidates at the per-shard `θ/N` threshold and
+///   re-validates the union against the global `θ·W` bar.
+///
+/// Both merges are exactly the live engine's, so snapshot answers are
+/// bit-for-bit what the FIFO path would have returned at the publication
+/// point.
+#[derive(Debug, Clone)]
+pub struct EngineSnapshot<V> {
+    epoch: u64,
+    name: &'static str,
+    error_bound: f64,
+    shards: Arc<[V]>,
+}
+
+impl<V> EngineSnapshot<V> {
     /// The same merged view re-stamped as a newer epoch: the
     /// unchanged-engine publication short circuit (nothing was ingested
     /// since `self` was assembled, so only the epoch moves).
-    pub(crate) fn restamped(&self, epoch: u64) -> Self {
+    fn restamped(&self, epoch: u64) -> Self {
         EngineSnapshot {
             epoch,
-            ..self.clone()
+            name: self.name,
+            error_bound: self.error_bound,
+            shards: Arc::clone(&self.shards),
         }
     }
 
@@ -344,24 +367,19 @@ impl<K: Eq + Hash + Clone> EngineSnapshot<K> {
         self.epoch
     }
 
-    /// Number of per-shard summaries merged into this snapshot.
+    /// Number of per-shard views merged into this snapshot.
     pub fn shards(&self) -> usize {
         self.shards.len()
     }
-
-    /// The per-shard merged views, in shard order.
-    pub fn per_shard(&self) -> &[DeltaWindow<K>] {
-        &self.shards
-    }
 }
 
-impl<K: Eq + Hash + Clone> WindowQuery<K> for EngineSnapshot<K> {
+impl<K: Eq + Hash + Clone> WindowQuery<K> for EngineSnapshot<DeltaWindow<K>> {
     fn name(&self) -> &'static str {
         self.name
     }
 
     /// A flow lives wholly in one shard: route the key exactly like the
-    /// live engine and answer from that shard's summary.
+    /// live engine and answer from that shard's view.
     fn estimate(&self, key: &K) -> f64 {
         self.shards[fasthash::route(key, self.shards.len())].estimate(key)
     }
@@ -371,7 +389,7 @@ impl<K: Eq + Hash + Clone> WindowQuery<K> for EngineSnapshot<K> {
     /// merge.
     fn heavy_hitters(&self, threshold: f64) -> Vec<(K, f64)> {
         let mut merged: Vec<(K, f64)> = Vec::new();
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             merged.extend(shard.heavy_hitters(threshold));
         }
         merged.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
@@ -389,56 +407,7 @@ impl<K: Eq + Hash + Clone> WindowQuery<K> for EngineSnapshot<K> {
     }
 }
 
-/// An immutable merged view of a [`crate::ShardedHhh`] at one publication
-/// epoch: one [`FrozenHhh`] per shard, all anchored at the same global
-/// stream position.
-///
-/// Implements [`HhhQuery`] with exactly the live engine's merge rules: a
-/// prefix aggregates items from every shard, so `estimate` *sums* the
-/// per-shard upper bounds (in shard order — identical f64 rounding), and
-/// `output` collects candidates at the per-shard `θ/N` threshold,
-/// re-validates the union against the global `θ·W` bar with the summed
-/// estimates and returns them in canonical prefix order.
-///
-/// The per-shard parts sit behind one `Arc`, so re-stamping an unchanged
-/// engine's snapshot copies no summary.
-#[derive(Debug, Clone)]
-pub struct HhhEngineSnapshot<Hi: Hierarchy> {
-    epoch: u64,
-    name: &'static str,
-    shards: Arc<[FrozenHhh<Hi>]>,
-}
-
-impl<Hi: Hierarchy> HhhEngineSnapshot<Hi> {
-    pub(crate) fn assemble(epoch: u64, name: &'static str, shards: Vec<FrozenHhh<Hi>>) -> Self {
-        HhhEngineSnapshot {
-            epoch,
-            name,
-            shards: shards.into(),
-        }
-    }
-
-    /// The same merged view re-stamped as a newer epoch (see
-    /// [`EngineSnapshot`]'s twin).
-    pub(crate) fn restamped(&self, epoch: u64) -> Self {
-        HhhEngineSnapshot {
-            epoch,
-            ..self.clone()
-        }
-    }
-
-    /// The publication epoch this snapshot belongs to.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Number of per-shard summaries merged into this snapshot.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-}
-
-impl<Hi: Hierarchy> HhhQuery<Hi> for HhhEngineSnapshot<Hi> {
+impl<Hi: Hierarchy> HhhQuery<Hi> for EngineSnapshot<FrozenHhh<Hi>> {
     fn name(&self) -> &'static str {
         self.name
     }
@@ -482,20 +451,31 @@ impl<Hi: Hierarchy> HhhQuery<Hi> for HhhEngineSnapshot<Hi> {
 mod tests {
     use super::*;
 
+    /// A hub over `shards` shards whose parts are their own views.
+    fn hub(shards: usize) -> SnapshotHub<u64, u64> {
+        SnapshotHub::new("test", shards, 0.0, Box::new(|parts| parts))
+    }
+
+    /// The latest snapshot as (epoch, per-shard views).
+    fn latest(hub: &SnapshotHub<u64, u64>) -> (u64, Vec<u64>) {
+        let snapshot = hub.latest().expect("published");
+        (snapshot.epoch, snapshot.shards.to_vec())
+    }
+
     #[test]
-    fn cell_load_sees_the_latest_publish() {
-        let cell: SnapshotCell<u64> = SnapshotCell::new();
-        assert!(cell.load().is_none());
+    fn pointer_load_sees_the_latest_publish() {
+        let hub = hub(1);
+        assert!(hub.latest().is_none());
         for epoch in 1..=5u64 {
-            cell.publish(epoch, Arc::new(epoch * 100));
-            assert_eq!(*cell.load().expect("published"), epoch * 100);
+            assert_eq!(hub.begin_epoch(), epoch);
+            hub.deliver(epoch, 0, epoch * 100);
+            assert_eq!(latest(&hub), (epoch, vec![epoch * 100]));
         }
     }
 
     #[test]
     fn hub_publishes_when_all_parts_arrive() {
-        let hub: SnapshotHub<u64, Vec<u64>> =
-            SnapshotHub::new(3, Box::new(|_, parts| parts.clone()));
+        let hub = hub(3);
         let epoch = hub.begin_epoch();
         hub.deliver(epoch, 1, 10);
         assert!(hub.latest().is_none(), "incomplete epoch must not publish");
@@ -503,15 +483,12 @@ mod tests {
         hub.deliver(epoch, 2, 30);
         hub.wait_published(epoch);
         // Parts come back in shard order regardless of delivery order.
-        assert_eq!(*hub.latest().expect("published"), vec![20, 10, 30]);
+        assert_eq!(latest(&hub), (epoch, vec![20, 10, 30]));
     }
 
     #[test]
     fn hub_interleaved_epochs_publish_in_order() {
-        let hub: SnapshotHub<u64, u64> = SnapshotHub::new(
-            2,
-            Box::new(|epoch, parts| epoch * 1000 + parts.iter().sum::<u64>()),
-        );
+        let hub = hub(2);
         let e1 = hub.begin_epoch();
         let e2 = hub.begin_epoch();
         // Shard 0 runs ahead: delivers both epochs before shard 1 starts —
@@ -520,46 +497,106 @@ mod tests {
         hub.deliver(e1, 0, 1);
         hub.deliver(e2, 0, 2);
         hub.deliver(e1, 1, 10);
-        assert_eq!(*hub.latest().expect("e1 complete"), 1011);
+        assert_eq!(latest(&hub), (e1, vec![1, 10]));
         hub.deliver(e2, 1, 20);
         hub.wait_published(e2);
-        assert_eq!(*hub.latest().expect("e2 complete"), 2022);
+        assert_eq!(latest(&hub), (e2, vec![2, 20]));
     }
 
     #[test]
     fn stateful_assembler_accumulates_across_epochs() {
-        // The PR 8 contract: the assembler is FnMut and owns merge state
-        // that persists from epoch to epoch (the estimator engines fold
-        // incremental patches onto it).
+        // The assembler is FnMut and owns merge state that persists from
+        // epoch to epoch (the estimator engines fold incremental patches
+        // onto it).
         let mut total = 0u64;
         let hub: SnapshotHub<u64, u64> = SnapshotHub::new(
+            "test",
             1,
-            Box::new(move |_, parts| {
+            0.0,
+            Box::new(move |parts| {
                 total += parts[0];
-                total
+                vec![total]
             }),
         );
         for (part, expected) in [(3u64, 3u64), (4, 7), (10, 17)] {
             let epoch = hub.begin_epoch();
             hub.deliver(epoch, 0, part);
-            assert_eq!(*hub.latest().expect("published"), expected);
+            assert_eq!(latest(&hub), (epoch, vec![expected]));
         }
     }
 
     #[test]
     fn restamp_republishes_the_latest_snapshot_under_a_new_epoch() {
-        let hub: SnapshotHub<u64, (u64, u64)> =
-            SnapshotHub::new(1, Box::new(|epoch, parts| (epoch, parts[0])));
+        let hub = hub(1);
         // Nothing published yet: the short circuit must refuse.
         let bare = hub.begin_epoch();
-        assert!(!hub.publish_restamped(bare, |s| *s));
+        assert!(!hub.publish_restamped(bare));
         hub.deliver(bare, 0, 42);
         assert!(hub.quiescent());
+        let before = hub.latest().expect("published");
         let e2 = hub.begin_epoch();
         assert!(!hub.quiescent(), "allocated epoch counts as in flight");
-        assert!(hub.publish_restamped(e2, |&(_, payload)| (e2, payload)));
+        assert!(hub.publish_restamped(e2));
         hub.wait_published(e2);
-        assert_eq!(*hub.latest().expect("restamped"), (e2, 42));
+        assert_eq!(latest(&hub), (e2, vec![42]));
+        let after = hub.latest().expect("restamped");
+        assert!(Arc::ptr_eq(&before.shards, &after.shards), "views copied");
         assert!(hub.quiescent());
+    }
+
+    /// One reference view applying every patch sequentially; an assembler
+    /// rotating through its views. Every published clone must match the
+    /// reference exactly — across mid-sequence rebuilds, and with the
+    /// pointer's clone alive — and every clone a reader pinned must keep
+    /// its answers while the rotation moves on.
+    #[test]
+    fn assembler_rotation_matches_sequential_application() {
+        let mut reference: DeltaWindow<u64> = DeltaWindow::empty("test");
+        let mut assembler: DeltaAssembler<u64> = DeltaAssembler::new("test");
+        let mut pointer: Option<DeltaWindow<u64>> = None;
+        let mut pinned = Vec::new();
+        for step in 0..24u64 {
+            let patch = if [9, 15, 16].contains(&step) {
+                // Rebuilds, two of them back to back: every view must
+                // converge on the replacement state even if it never saw
+                // the patches before it.
+                WindowPatch::rebuild(vec![(100, 50.0 + step as f64), (101, 25.0)], 0.5, 900, 1.0)
+            } else {
+                WindowPatch {
+                    rebuild: false,
+                    updated: vec![(step % 5, step as f64 + 1.0, step % 5)],
+                    removed: if step % 4 == 3 {
+                        vec![(step + 1) % 5]
+                    } else {
+                        vec![]
+                    },
+                    untracked: 0.1 * step as f64,
+                    processed: 100 * (step + 1),
+                    error_bound: 2.0,
+                }
+            };
+            reference.apply(&patch);
+            let published = assembler.publish(patch);
+            pointer = Some(published.clone());
+            assert_eq!(
+                published.heavy_hitters(0.0),
+                reference.heavy_hitters(0.0),
+                "step {step}"
+            );
+            assert_eq!(published.processed(), reference.processed());
+            assert_eq!(
+                published.untracked_estimate(),
+                reference.untracked_estimate()
+            );
+            assert_eq!(published.tracked(), reference.tracked());
+            if step % 7 == 0 {
+                let answers = published.heavy_hitters(0.0);
+                pinned.push((published, answers));
+            }
+        }
+        assert!(pointer.is_some());
+        for (view, answers) in &pinned {
+            assert_eq!(&view.heavy_hitters(0.0), answers, "a pinned view moved");
+        }
     }
 }

@@ -180,8 +180,8 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
         self.max_load()
     }
 
-    /// Number of slots in the table.
-    pub(crate) fn slots(&self) -> usize {
+    /// Number of slots in the table: the range of [`Self::slot_entry`].
+    pub fn slots(&self) -> usize {
         self.ctrl.len()
     }
 

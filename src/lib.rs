@@ -46,14 +46,13 @@ pub use memento_traces as traces;
 
 pub use memento_baselines::{ExactWindowHhh, Mst, Rhhh, WindowMst};
 pub use memento_core::{analysis, traits, HMemento, Memento, Wcss};
-pub use memento_core::{DeltaWindow, FrozenHhh, FrozenWindow, HhhQuery, WindowPatch, WindowQuery};
+pub use memento_core::{DeltaWindow, FrozenHhh, HhhQuery, WindowPatch, WindowQuery};
 pub use memento_core::{GrainClock, GrainMap, TimedWindow};
 pub use memento_core::{HhhAlgorithm, Ingest, SlidingWindowEstimator};
 pub use memento_hierarchy::{Hierarchy, Prefix1D, Prefix2D, SrcDstHierarchy, SrcHierarchy};
 pub use memento_netwide::{CommMethod, DHMementoController, DMementoController, NetworkSimulator};
 pub use memento_shard::{
-    EngineSnapshot, HhhEngineSnapshot, HhhSnapshotReader, PublishPolicy, ShardedEstimator,
-    ShardedHhh, SnapshotReader,
+    EngineSnapshot, HhhSnapshotReader, PublishPolicy, ShardedEstimator, ShardedHhh, SnapshotReader,
 };
 pub use memento_sketches::ExactTimedWindow;
 pub use memento_traces::{ArrivalModel, Packet, TimedPacket, TraceGenerator, TracePreset};

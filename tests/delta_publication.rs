@@ -2,18 +2,27 @@
 //!
 //! The contract under test: maintaining a [`DeltaWindow`] by applying every
 //! [`freeze_delta`](WindowQuery::freeze_delta) patch in call order answers
-//! **bit-for-bit** the same queries as the [`FrozenWindow`] a full
-//! [`freeze`](WindowQuery::freeze) would have produced at the same instant —
-//! estimates, heavy-hitter sets *including order*, untracked estimates,
-//! stream positions and error bounds. Exercised across window rotations,
-//! closed-form `skip(n)` (including whole-window clears), evictions and
-//! backward-shift deletions, for Memento (τ < 1), WCSS (τ = 1), the exact
-//! window and Space Saving.
+//! **bit-for-bit** the same queries as the live estimator at the same
+//! instant — estimates, heavy-hitter sets *including order*, untracked
+//! estimates, stream positions and error bounds. Exercised across window
+//! rotations, closed-form `skip(n)` (including whole-window clears),
+//! evictions and backward-shift deletions, for Memento (τ < 1), WCSS
+//! (τ = 1), the exact window and Space Saving.
 
 use memento::sketches::SpaceSaving;
 use memento::traits::{Ingest, SlidingWindowEstimator};
-use memento::{DeltaWindow, FrozenWindow, WindowQuery};
+use memento::{DeltaWindow, WindowQuery};
 use proptest::prelude::*;
+
+/// Case count, honoring the nightly fuzz job's `PROPTEST_CASES` (the
+/// vendored proptest stand-in has no built-in env support, so the suite
+/// reads it directly; the PR-gating default stays low).
+fn cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
+}
 
 /// Key universe shared by all generators: small enough that per-checkpoint
 /// full-universe estimate comparison is cheap, large enough to force
@@ -45,9 +54,9 @@ fn decode_ops(raw: &[(u64, u64)], max_skip: u64) -> Vec<Op> {
         .collect()
 }
 
-/// Asserts the delta-maintained view equals a fresh full freeze, bit for
-/// bit, on every observable query.
-fn assert_bitwise_equal(delta: &DeltaWindow<u64>, full: &FrozenWindow<u64>, at: usize) {
+/// Asserts the delta-maintained view answers like the live estimator, bit
+/// for bit, on every observable query.
+fn assert_bitwise_equal(delta: &DeltaWindow<u64>, full: &impl WindowQuery<u64>, at: usize) {
     for key in 0..UNIVERSE {
         assert_eq!(
             delta.estimate(&key).to_bits(),
@@ -91,7 +100,7 @@ fn assert_bitwise_equal(delta: &DeltaWindow<u64>, full: &FrozenWindow<u64>, at: 
 
 /// Drives an estimator through the workload, checkpointing every
 /// `checkpoint_every` ops: apply the incremental patch to the persistent
-/// `DeltaWindow`, take a full freeze, compare bit-for-bit.
+/// `DeltaWindow`, compare it with the estimator bit-for-bit.
 fn run_differential<E: SlidingWindowEstimator<u64>>(
     est: &mut E,
     ops: &[Op],
@@ -105,15 +114,15 @@ fn run_differential<E: SlidingWindowEstimator<u64>>(
         }
         if i % checkpoint_every == 0 {
             delta.apply(&est.freeze_delta());
-            assert_bitwise_equal(&delta, &est.freeze(), i);
+            assert_bitwise_equal(&delta, est, i);
         }
     }
     delta.apply(&est.freeze_delta());
-    assert_bitwise_equal(&delta, &est.freeze(), ops.len());
+    assert_bitwise_equal(&delta, est, ops.len());
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(cases(8)))]
 
     /// Memento (τ < 1): geometric sampling, overflow retirement, frame
     /// flushes and closed-form skips — the skip bound exceeds the window so
@@ -168,29 +177,31 @@ fn space_saving_delta_freeze_matches_full_freeze() {
             Ingest::update(&mut est, key);
             if i % 61 == 0 {
                 delta.apply(&est.freeze_delta());
-                assert_bitwise_equal(&delta, &est.freeze(), (round * 500 + i) as usize);
+                assert_bitwise_equal(&delta, &est, (round * 500 + i) as usize);
             }
         }
         // Interval boundary: everything resets; the next patch must rebuild.
         est.flush();
         delta.apply(&est.freeze_delta());
-        assert_bitwise_equal(&delta, &est.freeze(), usize::MAX);
+        assert_bitwise_equal(&delta, &est, usize::MAX);
     }
 }
 
-/// The provided (journal-free) `freeze_delta` always rebuilds: applying it
-/// to an empty `DeltaWindow` must reproduce the instance. `FrozenWindow`
-/// itself has no native override, so it exercises the default path.
+/// The provided (journal-free) `freeze_delta` always rebuilds: applying
+/// any of its patches to an empty `DeltaWindow` must reproduce the
+/// instance. The exact window has no native override, so it exercises the
+/// default path.
 #[test]
 fn default_freeze_delta_rebuilds_faithfully() {
-    let mut est = memento::Wcss::new(16, 100);
+    let mut est = memento::sketches::ExactWindow::new(100);
     for i in 0..250u64 {
-        est.update(i % 9);
+        est.add(i % 9);
     }
-    let mut frozen = WindowQuery::freeze(&est);
-    let patch = frozen.freeze_delta();
-    assert!(patch.rebuild, "default impl must rebuild");
-    let mut delta = DeltaWindow::empty(frozen.name());
-    delta.apply(&patch);
-    assert_bitwise_equal(&delta, &frozen, 0);
+    for _ in 0..2 {
+        let patch = est.freeze_delta();
+        assert!(patch.rebuild, "default impl must rebuild");
+        let mut delta = DeltaWindow::empty(est.name());
+        delta.apply(&patch);
+        assert_bitwise_equal(&delta, &est, 0);
+    }
 }

@@ -8,14 +8,29 @@
 //!   `SnapshotReader` while the engine ingests and publishes every batch;
 //!   every observed snapshot must be internally consistent (one epoch, all
 //!   shards present) and every thread's view monotone.
+//! * A pinned snapshot keeps its answers while later publications rotate
+//!   the per-shard views it shares.
 //! * A publish-rate sweep (PR 8): the delta-publication plane applies
-//!   incremental patches at whatever cadence the policy dictates, so
-//!   engines publishing every 1, 2 and 64 batches must answer bit-for-bit
-//!   identically at every query point.
+//!   incremental patches at whatever cadence publications happen, so
+//!   engines publishing after every 1, 7 and 97 keys must answer
+//!   bit-for-bit identically at every query point.
 
 use memento::sketches::fasthash;
-use memento::{HhhQuery, PublishPolicy, ShardedEstimator, ShardedHhh, SrcHierarchy, WindowQuery};
+use memento::{
+    DeltaWindow, EngineSnapshot, HhhQuery, PublishPolicy, ShardedEstimator, ShardedHhh,
+    SrcHierarchy, WindowQuery,
+};
 use proptest::prelude::*;
+
+/// Case count, honoring the nightly fuzz job's `PROPTEST_CASES` (the
+/// vendored proptest stand-in has no built-in env support, so the suite
+/// reads it directly; the PR-gating default stays low).
+fn cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
+}
 
 /// The shard counts the acceptance criteria call out.
 const SHARD_SWEEP: [usize; 3] = [1, 2, 4];
@@ -78,7 +93,7 @@ fn assert_bitwise_match(sharded: &ShardedEstimator<u64>, stream: &[u64], window:
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(cases(8)))]
 
     /// Memento (τ < 1): snapshot answers equal flush-then-FIFO answers
     /// bit-for-bit at every shard count.
@@ -172,18 +187,23 @@ fn hhh_snapshot_matches_fifo() {
 #[test]
 fn concurrent_readers_never_observe_torn_snapshots() {
     let window = 50_000;
-    let sharded = {
-        let mut s = ShardedEstimator::memento(4, 256, window, 1.0, 99).with_policy(PublishPolicy {
-            every_batches: 1,
-            on_query: false,
-        });
-        // Small batches → frequent publications → many epoch swaps to race.
-        #[allow(deprecated)]
-        s.set_flush_threshold(64);
-        s
-    };
+    let sharded = ShardedEstimator::memento(4, 256, window, 1.0, 99).with_policy(PublishPolicy {
+        every_batches: 1,
+        on_query: false,
+    });
+    // One full ship batch per round, all of it routed to one shard (a
+    // different one each round): every round ships exactly one batch, so
+    // it publishes one epoch — many epoch swaps to race.
+    let batches: Vec<Vec<u64>> = (0..sharded.shards())
+        .map(|shard| {
+            (0u64..)
+                .filter(|key| fasthash::route(key, sharded.shards()) == shard)
+                .take(memento::shard::DEFAULT_FLUSH_THRESHOLD)
+                .collect()
+        })
+        .collect();
     let reader = sharded.reader();
-    let writer_rounds = 200usize;
+    let writer_rounds = 480usize;
 
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -216,18 +236,61 @@ fn concurrent_readers_never_observe_torn_snapshots() {
         }
 
         let mut writer = sharded;
-        let keys: Vec<u64> = (0..512u64).collect();
-        for _ in 0..writer_rounds {
-            writer.update_batch(&keys);
+        for round in 0..writer_rounds {
+            writer.update_batch(&batches[round % batches.len()]);
         }
-        writer.publish_now();
+        let epochs = writer.publish_now();
+        assert!(
+            epochs > writer_rounds as u64,
+            "{epochs} epochs from {writer_rounds} rounds"
+        );
 
+        let fed = (writer_rounds * memento::shard::DEFAULT_FLUSH_THRESHOLD) as u64;
         for h in handles {
             let (epoch, processed) = h.join().unwrap();
             assert!(epoch > 0, "reader never saw a published epoch");
-            assert!(processed <= (writer_rounds * 512) as u64);
+            assert!(processed <= fed);
         }
     });
+}
+
+/// A snapshot pinned through `Reader::latest()` answers bit-for-bit as
+/// when it was taken while more publications than the rotation has views
+/// move on. Each publication patches the view the pointer released two
+/// publications ago, which the pinned snapshot still shares: the patch
+/// must copy on write (or, for a rebuild, start a fresh table) instead of
+/// writing through.
+#[test]
+fn pinned_snapshot_survives_the_view_rotation() {
+    type Answers = (Vec<u64>, Vec<(u64, u64)>, u64);
+    fn answers(snapshot: &EngineSnapshot<DeltaWindow<u64>>) -> Answers {
+        let estimates = (0..97u64).map(|key| snapshot.estimate(&key).to_bits());
+        let heavy = snapshot.heavy_hitters(0.0).into_iter();
+        let heavy = heavy.map(|(key, estimate)| (key, estimate.to_bits()));
+        (estimates.collect(), heavy.collect(), snapshot.processed())
+    }
+    // W = 4_000 puts a frame flush (a rebuild patch) among the
+    // incremental ones.
+    let mut sharded = ShardedEstimator::wcss(2, 64, 4_000);
+    let reader = sharded.reader();
+    let keys: Vec<u64> = (0..3_000u64).map(|i| (i * i) % 97).collect();
+    sharded.update_batch(&keys);
+    sharded.publish_now();
+    let pinned = reader.latest().expect("published");
+    let taken = answers(&pinned);
+    for round in 0..6 {
+        sharded.update_batch(&keys[..300 + 200 * round]);
+        let epoch = sharded.publish_now();
+        let latest = reader.latest().expect("published");
+        assert_eq!(latest.epoch(), epoch);
+        assert!(latest.processed() > pinned.processed(), "no new snapshot");
+        assert_eq!(
+            answers(&pinned),
+            taken,
+            "pinned snapshot moved: round {round}"
+        );
+    }
+    assert_ne!(answers(&reader.latest().expect("published")), taken);
 }
 
 /// Readers keep answering (from the last published epoch) while the engine
@@ -262,11 +325,11 @@ fn reader_staleness_is_bounded_by_publications() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(cases(6)))]
 
     /// PR 8 satellite: the publication cadence must never change an answer.
-    /// Identical engines driven by the same stream but publishing every 1,
-    /// 2 and 64 shipped batches group the incremental patches differently —
+    /// Identical engines driven by the same stream but publishing after
+    /// every 1, 7 and 97 keys group the incremental patches differently —
     /// many small deltas versus few large ones — yet at every query point
     /// their estimates, heavy-hitter lists (including order) and stream
     /// positions are bit-for-bit identical, and equal to the
@@ -278,32 +341,25 @@ proptest! {
         raw in prop::collection::vec(0u64..50, 400..900),
         window in 200usize..2_000,
     ) {
-        let mut engines: Vec<ShardedEstimator<u64>> = [1usize, 2, 64]
-            .into_iter()
-            .map(|every_batches| {
-                let mut engine = ShardedEstimator::memento(2, 64, window, 0.25, 11)
-                    .with_policy(PublishPolicy {
-                        every_batches,
-                        on_query: true,
-                    });
-                // A small ship batch makes the cadences actually diverge
-                // (the default threshold would ship once per chunk).
-                #[allow(deprecated)]
-                engine.set_flush_threshold(32);
-                engine
-            })
+        const PUBLISH_AFTER: [usize; 3] = [1, 7, 97];
+        let mut engines: Vec<ShardedEstimator<u64>> = PUBLISH_AFTER
+            .iter()
+            .map(|_| ShardedEstimator::memento(2, 64, window, 0.25, 11))
             .collect();
         for chunk in raw.chunks(97) {
-            for engine in &mut engines {
-                engine.update_batch(chunk);
+            for (engine, slice) in engines.iter_mut().zip(PUBLISH_AFTER) {
+                for part in chunk.chunks(slice) {
+                    engine.update_batch(part);
+                    engine.publish_now();
+                }
             }
             for key in 0..50u64 {
                 let answers: Vec<u64> = engines
                     .iter()
                     .map(|e| e.estimate(&key).to_bits())
                     .collect();
-                assert_eq!(answers[0], answers[1], "key {key}: rate 1 vs 2");
-                assert_eq!(answers[1], answers[2], "key {key}: rate 2 vs 64");
+                assert_eq!(answers[0], answers[1], "key {key}: rate 1 vs 7");
+                assert_eq!(answers[1], answers[2], "key {key}: rate 7 vs 97");
                 assert_eq!(
                     answers[2],
                     fifo_estimate(&engines[2], key).to_bits(),
@@ -319,8 +375,8 @@ proptest! {
                         .collect()
                 })
                 .collect();
-            assert_eq!(hh[0], hh[1], "heavy hitters: rate 1 vs 2");
-            assert_eq!(hh[1], hh[2], "heavy hitters: rate 2 vs 64");
+            assert_eq!(hh[0], hh[1], "heavy hitters: rate 1 vs 7");
+            assert_eq!(hh[1], hh[2], "heavy hitters: rate 7 vs 97");
             let positions: Vec<u64> = engines.iter().map(|e| e.processed()).collect();
             assert_eq!(positions[0], positions[1]);
             assert_eq!(positions[1], positions[2]);

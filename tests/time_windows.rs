@@ -552,7 +552,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(6)))]
 
     /// PR 8 residual: maintaining a [`DeltaWindow`] by applying every
-    /// `freeze_delta` patch stays bit-for-bit with a full freeze across
+    /// `freeze_delta` patch stays bit-for-bit with the live window across
     /// time-advances — including advances whose rotations trigger the
     /// frame-flush / whole-structure-clear rebuild degradation of the
     /// journal (`skip` past the window), previously untested under the
@@ -575,9 +575,8 @@ proptest! {
             timed.record_at(key, t);
             if i % 41 == 0 {
                 delta.apply(&timed.freeze_delta());
-                let full = WindowQuery::freeze(&timed);
-                assert_estimates_equal(&delta, &full, "delta vs full freeze mid-stream");
-                prop_assert_eq!(delta.processed(), full.processed());
+                assert_estimates_equal(&delta, &timed, "delta vs live mid-stream");
+                prop_assert_eq!(delta.processed(), WindowQuery::processed(&timed));
             }
         }
         // A terminal idle gap past the whole window: the rebuild patch
@@ -585,9 +584,8 @@ proptest! {
         let quiet = timed.clock().last_tick() + 40 * map.window_ticks();
         timed.advance_to(quiet);
         delta.apply(&timed.freeze_delta());
-        let full = WindowQuery::freeze(&timed);
-        assert_estimates_equal(&delta, &full, "delta vs full freeze after idle clear");
-        prop_assert_eq!(delta.processed(), full.processed());
+        assert_estimates_equal(&delta, &timed, "delta vs live after idle clear");
+        prop_assert_eq!(delta.processed(), WindowQuery::processed(&timed));
         prop_assert!(timed.whole_window_advances() >= 1);
     }
 }
@@ -605,7 +603,7 @@ fn freeze_delta_pins_frame_flush_rebuild_under_advance() {
         timed.record_at(i % 7, i / 4);
     }
     delta.apply(&timed.freeze_delta());
-    assert_estimates_equal(&delta, &WindowQuery::freeze(&timed), "baseline");
+    assert_estimates_equal(&delta, &timed, "baseline");
     // Advance most of a window in one observation: enough rotations to
     // flush frames and invalidate the journal, not enough to clear.
     let t = timed.clock().last_tick() + map.window_ticks() - 2 * map.grain_span();
@@ -615,17 +613,9 @@ fn freeze_delta_pins_frame_flush_rebuild_under_advance() {
         "advance should not clear everything"
     );
     delta.apply(&timed.freeze_delta());
-    assert_estimates_equal(
-        &delta,
-        &WindowQuery::freeze(&timed),
-        "after frame-flush advance",
-    );
+    assert_estimates_equal(&delta, &timed, "after frame-flush advance");
     // And repeat across the wholesale clear for completeness.
     timed.advance_to(t + 50 * map.window_ticks());
     delta.apply(&timed.freeze_delta());
-    assert_estimates_equal(
-        &delta,
-        &WindowQuery::freeze(&timed),
-        "after wholesale clear",
-    );
+    assert_estimates_equal(&delta, &timed, "after wholesale clear");
 }

@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 use memento_core::analysis::z_value;
 use memento_core::traits::{HhhAlgorithm, HhhQuery, Ingest};
 use memento_hierarchy::{compute_hhh, HhhParams, Hierarchy, PrefixEstimator};
-use memento_sketches::{GeometricSampler, Sampler, SpaceSaving};
+use memento_sketches::{GeometricSampler, SpaceSaving};
 
 /// The RHHH interval HHH algorithm.
 #[derive(Debug, Clone)]

@@ -14,7 +14,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use memento_bench::make_trace;
 use memento_core::Memento;
-use memento_sketches::{ExactWindow, GeometricSampler, Sampler, SpaceSaving, TableSampler};
+use memento_sketches::{ExactWindow, GeometricSampler, SpaceSaving, TableSampler};
 use memento_traces::TracePreset;
 
 fn bench_substrates(c: &mut Criterion) {

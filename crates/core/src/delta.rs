@@ -142,7 +142,9 @@ impl<K: Eq + Hash + Clone> DeltaWindow<K> {
     /// when this view solely owns its table; a shared table (a published
     /// clone still alive) is copied first, O(tracked), which the sharded
     /// engine's view rotation makes the rare case. A rebuild never copies:
-    /// it clears a table it owns and starts a fresh one otherwise.
+    /// it clears a table it owns and starts a fresh one otherwise, and
+    /// sizes the table for the patch before the first insert, so a view's
+    /// first rebuild does not grow it by doubling.
     pub fn apply(&mut self, patch: &WindowPatch<K>) {
         if patch.rebuild && Arc::get_mut(&mut self.entries).is_none() {
             // A published clone shares the table: start a fresh one instead
@@ -153,6 +155,7 @@ impl<K: Eq + Hash + Clone> DeltaWindow<K> {
         let entries = Arc::make_mut(&mut self.entries);
         if patch.rebuild {
             entries.clear();
+            entries.reserve(patch.updated.len());
         }
         for (key, estimate, rank) in &patch.updated {
             entries.insert(key.clone(), (*estimate, *rank));

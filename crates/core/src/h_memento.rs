@@ -21,6 +21,7 @@
 //! fix the per-prefix sampling probability at `τ/H`; this implementation
 //! follows the analysis (see DESIGN.md §5).
 
+use std::collections::HashMap;
 use std::hash::Hash;
 
 use memento_hierarchy::{compute_hhh, HhhParams, Hierarchy, PrefixEstimator};
@@ -264,23 +265,23 @@ where
     }
 
     /// Captures an immutable [`FrozenHhh`] answering exactly the queries
-    /// this instance would answer right now: the candidate set with its
-    /// frequency bounds plus the `OUTPUT` parameters (`W`, sampling
-    /// slack), in the live candidate enumeration order so the frozen
-    /// `output` is bit-for-bit equal to the live one at any threshold.
+    /// this instance would answer right now: every tracked prefix with its
+    /// frequency bounds, read in one walk over the overflow table and the
+    /// in-frame summary, plus the `OUTPUT` parameters (`W`, sampling
+    /// slack), so the frozen `output` is bit-for-bit equal to the live one
+    /// at any threshold.
     pub fn freeze(&self) -> FrozenHhh<Hi> {
         let memento = &self.memento;
-        let candidates = memento.tracked_keys();
-        let bounds = candidates
-            .iter()
-            .map(|p| (*p, (memento.upper_bound(p), memento.lower_bound(p))))
-            .collect();
+        let mut bounds = HashMap::new();
+        memento.for_each_tracked(|prefix, overflows, in_frame, _| {
+            let upper = memento.upper(overflows, in_frame);
+            bounds.insert(*prefix, (upper, memento.lower(overflows)));
+        });
         FrozenHhh::capture(
             HhhQuery::<Hi>::name(self),
             self.hier.clone(),
             self.window,
             self.sampling_slack(),
-            candidates,
             bounds,
             // Absent prefixes get the fill-state-dependent upper slack and
             // a zero lower bound (no overflows recorded).

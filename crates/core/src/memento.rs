@@ -34,7 +34,7 @@ use std::hash::Hash;
 
 use memento_sketches::fasthash::{hash_one, FastBuildHasher, PREFETCH_LOOKAHEAD};
 use memento_sketches::sampling::geometric_skip;
-use memento_sketches::{CompactMap, OverflowQueue, Sampler, SpaceSaving, TableSampler};
+use memento_sketches::{CompactMap, OverflowQueue, SpaceSaving, TableSampler};
 
 use crate::config::MementoConfig;
 use crate::delta::WindowPatch;
@@ -82,6 +82,10 @@ impl MultipleCheck {
     }
 }
 
+/// Rank offset of the flows only the in-frame summary tracks: past every
+/// possible overflow-table slot (see [`Memento::for_each_tracked`]).
+const Y_RANK: u64 = 1 << 32;
+
 /// The Memento sliding-window heavy-hitters algorithm.
 ///
 /// Generic over the flow key `K`; the paper uses 5-tuples or IP pairs, the
@@ -108,8 +112,9 @@ pub struct Memento<K: Eq + Hash + Clone> {
     /// upstream or at a different effective rate, as in H-Memento and the
     /// network-wide controllers).
     full_update_rate: f64,
-    /// Scale applied to query results (`τ⁻¹` by default; H-Memento overrides
-    /// it with `V = H/τ` because it manages sampling itself).
+    /// Scale applied to query results (`τ⁻¹` by default; H-Memento and the
+    /// network-wide controllers set it through
+    /// [`Self::configure_external_sampling`], e.g. to `V = H/τ`).
     scale: f64,
     /// In-frame approximate counts.
     y: SpaceSaving<K>,
@@ -284,17 +289,10 @@ impl<K: Eq + Hash + Clone> Memento<K> {
         self.tau
     }
 
-    /// Current query scale (τ⁻¹ unless overridden).
+    /// Current query scale (τ⁻¹ unless
+    /// [`Self::configure_external_sampling`] set it).
     pub fn query_scale(&self) -> f64 {
         self.scale
-    }
-
-    /// Overrides the query scale. H-Memento drives its own prefix sampling
-    /// and therefore sets the scale to `V = H/τ` while keeping the internal
-    /// τ at 1.
-    pub fn set_query_scale(&mut self, scale: f64) {
-        assert!(scale >= 1.0, "query scale must be at least 1, got {scale}");
-        self.scale = scale;
     }
 
     /// Total number of packets processed (Full + Window updates).
@@ -895,20 +893,41 @@ impl<K: Eq + Hash + Clone> Memento<K> {
 
     // ---- queries -------------------------------------------------------------
 
-    /// Raw (unscaled) upper-bound estimate in *sampled* packets, following
-    /// Algorithm 1's `QUERY` before the τ⁻¹ factor.
-    fn raw_estimate(&self, key: &K) -> u64 {
+    /// `key`'s overflow count in `B`, 0 without an entry (an entry is
+    /// removed when its count reaches 0).
+    fn overflows(&self, key: &K) -> u32 {
+        self.overflow_counts.get(key).copied().unwrap_or(0)
+    }
+
+    /// Algorithm 1's `QUERY` in sampled packets, before the one-sided
+    /// slack and the scale, for a flow with `overflows` entries in `B` and
+    /// in-frame count `in_frame` (`y`'s answer for it): the overflows in
+    /// block units plus the in-frame remainder, or the whole in-frame
+    /// count for a flow without overflows.
+    fn window_count(&self, overflows: u32, in_frame: u64) -> u64 {
         let block = self.overflow_threshold;
-        match self.overflow_counts.get(key) {
-            Some(&overflows) => block * (overflows as u64 + 2) + (self.y.query(key) % block),
-            None => 2 * block + self.y.query(key),
+        if overflows == 0 {
+            in_frame
+        } else {
+            block * overflows as u64 + in_frame % block
         }
+    }
+
+    /// [`Self::estimate`] from a flow's `(overflows, in_frame)`:
+    /// [`Self::window_count`] plus two blocks of one-sided slack, scaled.
+    pub(crate) fn upper(&self, overflows: u32, in_frame: u64) -> f64 {
+        (2 * self.overflow_threshold + self.window_count(overflows, in_frame)) as f64 * self.scale
+    }
+
+    /// [`Self::lower_bound`] from a flow's overflow count.
+    pub(crate) fn lower(&self, overflows: u32) -> f64 {
+        (self.overflow_threshold * overflows.saturating_sub(2) as u64) as f64 * self.scale
     }
 
     /// Estimated window frequency of `key` (Algorithm 1, `QUERY`): an upper
     /// bound with one-sided error, scaled by τ⁻¹.
     pub fn estimate(&self, key: &K) -> f64 {
-        self.raw_estimate(key) as f64 * self.scale
+        self.upper(self.overflows(key), self.y.query(key))
     }
 
     /// Point estimate of the window frequency *without* the +2-block
@@ -919,12 +938,7 @@ impl<K: Eq + Hash + Clone> Memento<K> {
     /// otherwise a coarser (more biased) estimator would cross thresholds
     /// earlier than a finer one.
     pub fn point_estimate(&self, key: &K) -> f64 {
-        let block = self.overflow_threshold;
-        let raw = match self.overflow_counts.get(key) {
-            Some(&overflows) => block * overflows as u64 + (self.y.query(key) % block),
-            None => self.y.query(key),
-        };
-        raw as f64 * self.scale
+        self.window_count(self.overflows(key), self.y.query(key)) as f64 * self.scale
     }
 
     /// The estimate [`Self::estimate`] assigns to any key with neither an
@@ -933,7 +947,7 @@ impl<K: Eq + Hash + Clone> Memento<K> {
     /// on the current fill state of the in-frame summary, so snapshot code
     /// captures it at freeze time rather than assuming a constant.
     pub fn untracked_estimate(&self) -> f64 {
-        (2 * self.overflow_threshold + self.y.absent_query()) as f64 * self.scale
+        self.upper(0, self.y.absent_query())
     }
 
     /// Upper bound on the window frequency (alias of [`Self::estimate`]).
@@ -945,78 +959,23 @@ impl<K: Eq + Hash + Clone> Memento<K> {
     /// alone (each overflow beyond the ±2-block uncertainty witnesses one
     /// block worth of sampled traffic).
     pub fn lower_bound(&self, key: &K) -> f64 {
-        let blocks = self
-            .overflow_counts
-            .get(key)
-            .copied()
-            .unwrap_or(0)
-            .saturating_sub(2) as u64;
-        (self.overflow_threshold * blocks) as f64 * self.scale
+        self.lower(self.overflows(key))
     }
 
-    /// Keys that currently have either an overflow entry or an in-frame
-    /// counter. Every window heavy hitter is guaranteed to be in this set
-    /// (it must overflow at least once per window).
-    pub fn tracked_keys(&self) -> Vec<K> {
-        let mut keys: Vec<K> = self
-            .overflow_counts
-            .iter()
-            .map(|(k, _)| k.clone())
-            .collect();
-        let known: std::collections::HashSet<K> = keys.iter().cloned().collect();
-        for snap in self.y.snapshot() {
-            if !known.contains(&snap.key) {
-                keys.push(snap.key);
-            }
-        }
-        keys
-    }
-
-    /// Flows whose estimated window frequency reaches `threshold` packets,
-    /// sorted by decreasing estimate. Since every true heavy hitter overflows
-    /// within the window, this set has no false negatives (up to the
-    /// algorithm's ε·W error).
-    pub fn heavy_hitters(&self, threshold: f64) -> Vec<(K, f64)> {
-        let mut out: Vec<(K, f64)> = self
-            .tracked_keys()
-            .into_iter()
-            .map(|k| {
-                let est = self.estimate(&k);
-                (k, est)
-            })
-            .filter(|(_, est)| *est >= threshold)
-            .collect();
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        out
-    }
-
-    // ---- incremental freeze --------------------------------------------------
-
-    /// Canonical tie-breaking rank of a tracked key, mirroring
-    /// [`Self::tracked_keys`]'s traversal: overflow flows first (their `B`
-    /// slot), then `y`-only flows (their stream-summary slot, offset past
-    /// every possible `B` slot). Ranks strictly increase along the
-    /// traversal, so sorting by `(estimate desc, rank asc)` reproduces
-    /// [`Self::heavy_hitters`]'s stable descending order exactly.
-    /// `None` for untracked keys.
-    fn delta_rank(&self, key: &K) -> Option<u64> {
-        if let Some(slot) = self.overflow_counts.slot_of(key) {
-            return Some(slot as u64);
-        }
-        self.y.slot_of(key).map(|slot| (1u64 << 32) | slot as u64)
-    }
-
-    /// Every tracked flow with its estimate and [`Self::delta_rank`], in
-    /// [`Self::tracked_keys`]'s order: one pass over `B` and one over `y`,
-    /// each in slot order, so the slot in hand is the rank and the estimate
-    /// comes from the entry in hand. A `B` flow's in-frame count costs one
-    /// probe of `y`'s index, which also marks its `y` slot for the `y` pass
+    /// Visits every tracked flow once — every flow with an overflow entry
+    /// or an in-frame counter — as `(key, overflows, in_frame, rank)`, in
+    /// slot order: `B`'s flows, then the flows only `y` monitors.
+    /// `in_frame` is `y`'s answer for the flow ([`SpaceSaving::query`]);
+    /// `rank` is the flow's `B` slot, or [`Y_RANK`] plus its `y` slot.
+    /// Ranks increase along the walk, so sorting by `(estimate desc, rank
+    /// asc)` reproduces [`Self::heavy_hitters`]' stable order: the ranks a
+    /// [`WindowPatch`] carries. A `B` flow's in-frame count costs one probe
+    /// of `y`'s index, which also marks its `y` slot for the second pass
     /// to skip; `B` itself is never probed.
-    fn tracked_entries(&self) -> Vec<(K, f64, u64)> {
-        let block = self.overflow_threshold;
+    pub(crate) fn for_each_tracked(&self, mut visit: impl FnMut(&K, u32, u64, u64)) {
         let absent = self.y.absent_query();
-        let mut in_b = vec![false; self.y.counters()];
-        let mut entries = Vec::with_capacity(self.overflow_counts.len() + self.y.monitored());
+        // `y`'s occupied slots are its first `monitored()`.
+        let mut in_b = vec![false; self.y.monitored()];
         for slot in 0..self.overflow_counts.slots() {
             let Some((key, &overflows)) = self.overflow_counts.slot_entry(slot) else {
                 continue;
@@ -1029,17 +988,41 @@ impl<K: Eq + Hash + Clone> Memento<K> {
                     self.y.slot_entry(y_slot)
                 })
                 .map_or(absent, |(_, count, _)| count);
-            let raw = block * (overflows as u64 + 2) + in_frame % block;
-            entries.push((key.clone(), raw as f64 * self.scale, slot as u64));
+            visit(key, overflows, in_frame, slot as u64);
         }
         for (y_slot, seen) in in_b.into_iter().enumerate() {
             if let Some((key, count, _)) = self.y.slot_entry(y_slot).filter(|_| !seen) {
-                let rank = (1u64 << 32) | y_slot as u64;
-                entries.push((key.clone(), (2 * block + count) as f64 * self.scale, rank));
+                visit(key, 0, count, Y_RANK | y_slot as u64);
             }
         }
-        entries
     }
+
+    /// Keys that currently have either an overflow entry or an in-frame
+    /// counter. Every window heavy hitter is guaranteed to be in this set
+    /// (it must overflow at least once per window).
+    pub fn tracked_keys(&self) -> Vec<K> {
+        let mut keys = Vec::with_capacity(self.overflow_counts.len() + self.y.monitored());
+        self.for_each_tracked(|key, _, _, _| keys.push(key.clone()));
+        keys
+    }
+
+    /// Flows whose estimated window frequency reaches `threshold` packets,
+    /// sorted by decreasing estimate. Since every true heavy hitter overflows
+    /// within the window, this set has no false negatives (up to the
+    /// algorithm's ε·W error).
+    pub fn heavy_hitters(&self, threshold: f64) -> Vec<(K, f64)> {
+        let mut out = Vec::new();
+        self.for_each_tracked(|key, overflows, in_frame, _| {
+            let est = self.upper(overflows, in_frame);
+            if est >= threshold {
+                out.push((key.clone(), est));
+            }
+        });
+        out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        out
+    }
+
+    // ---- incremental freeze --------------------------------------------------
 
     /// Captures the changes since the previous `freeze_patch` call as a
     /// [`WindowPatch`] (the engine behind the Memento family's O(dirty)
@@ -1079,9 +1062,13 @@ impl<K: Eq + Hash + Clone> Memento<K> {
         self.last_absent = absent;
         let untracked = self.untracked_estimate();
         if map_drain.rebuild || y_drain.rebuild {
+            let mut updated = Vec::with_capacity(self.overflow_counts.len() + self.y.monitored());
+            self.for_each_tracked(|key, overflows, in_frame, rank| {
+                updated.push((key.clone(), self.upper(overflows, in_frame), rank));
+            });
             return WindowPatch {
                 rebuild: true,
-                updated: self.tracked_entries(),
+                updated,
                 removed: Vec::new(),
                 untracked,
                 processed: self.processed,
@@ -1110,16 +1097,28 @@ impl<K: Eq + Hash + Clone> Memento<K> {
                 }
             }
         }
+        // One lookup per structure and candidate: the slot found is the
+        // rank, and the entry in it holds the count.
         let mut updated = Vec::new();
         let mut removed = Vec::new();
         for k in candidates {
-            match self.delta_rank(&k) {
-                Some(rank) => {
-                    let est = self.estimate(&k);
-                    updated.push((k, est, rank));
+            let b_slot = self.overflow_counts.slot_of(&k);
+            let y_slot = self.y.slot_of(&k);
+            let rank = match (b_slot, y_slot) {
+                (Some(slot), _) => slot as u64,
+                (None, Some(slot)) => Y_RANK | slot as u64,
+                (None, None) => {
+                    removed.push(k);
+                    continue;
                 }
-                None => removed.push(k),
-            }
+            };
+            let overflows = b_slot
+                .and_then(|slot| self.overflow_counts.slot_entry(slot))
+                .map_or(0, |(_, &overflows)| overflows);
+            let in_frame = y_slot
+                .and_then(|slot| self.y.slot_entry(slot))
+                .map_or(absent, |(_, count, _)| count);
+            updated.push((k, self.upper(overflows, in_frame), rank));
         }
         WindowPatch {
             rebuild: false,
@@ -1319,13 +1318,15 @@ mod tests {
     #[test]
     fn estimates_scale_with_query_scale() {
         let mut memento = Memento::new(16, 100, 1.0, 0);
+        let mut scaled = Memento::new(16, 100, 1.0, 0);
+        scaled.configure_external_sampling(1.0, 5.0);
         for _ in 0..50 {
             memento.update(7u64);
+            scaled.update(7u64);
         }
         let base = memento.estimate(&7);
-        memento.set_query_scale(5.0);
-        assert!((memento.estimate(&7) - 5.0 * base).abs() < 1e-9);
-        assert_eq!(memento.query_scale(), 5.0);
+        assert!((scaled.estimate(&7) - 5.0 * base).abs() < 1e-9);
+        assert_eq!(scaled.query_scale(), 5.0);
     }
 
     #[test]

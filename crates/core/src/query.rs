@@ -133,17 +133,17 @@ pub trait HhhQuery<Hi: Hierarchy> {
 ///
 /// Re-runs Algorithm 2 (`compute_hhh`) over the captured bounds on every
 /// [`output`](HhhQuery::output) call, so one frozen summary answers any
-/// threshold — exactly like the live instance, and bit-for-bit equal to it
-/// because the candidate list preserves the live enumeration order.
+/// threshold — exactly like the live instance, and bit-for-bit equal to it:
+/// `compute_hhh`'s result depends only on the candidate set and the bounds,
+/// not on the order the candidates arrive in.
 #[derive(Debug, Clone)]
 pub struct FrozenHhh<Hi: Hierarchy> {
     name: &'static str,
     hier: Hi,
     window: usize,
     sampling_slack: f64,
-    /// Candidate prefixes in the live instance's enumeration order.
-    candidates: Vec<Hi::Prefix>,
-    /// Upper/lower frequency bounds per candidate.
+    /// Upper/lower frequency bounds per candidate prefix; its keys are the
+    /// candidate set.
     bounds: HashMap<Hi::Prefix, (f64, f64)>,
     /// Bounds reported for prefixes absent from `bounds`.
     untracked_upper: f64,
@@ -152,19 +152,14 @@ pub struct FrozenHhh<Hi: Hierarchy> {
 }
 
 impl<Hi: Hierarchy> FrozenHhh<Hi> {
-    /// Builds a frozen summary from captured per-candidate bounds.
-    ///
-    /// `candidates` must preserve the live instance's candidate enumeration
-    /// order — `compute_hhh` resolves threshold ties in enumeration order,
-    /// so preserving it is what makes frozen `output` bit-for-bit equal to
-    /// the live one.
+    /// Builds a frozen summary from captured per-candidate bounds: every
+    /// key of `bounds` is a candidate of `output`.
     #[allow(clippy::too_many_arguments)]
     pub fn capture(
         name: &'static str,
         hier: Hi,
         window: usize,
         sampling_slack: f64,
-        candidates: Vec<Hi::Prefix>,
         bounds: HashMap<Hi::Prefix, (f64, f64)>,
         untracked_upper: f64,
         untracked_lower: f64,
@@ -175,7 +170,6 @@ impl<Hi: Hierarchy> FrozenHhh<Hi> {
             hier,
             window,
             sampling_slack,
-            candidates,
             bounds,
             untracked_upper,
             untracked_lower,
@@ -219,7 +213,7 @@ impl<Hi: Hierarchy> HhhQuery<Hi> for FrozenHhh<Hi> {
         compute_hhh(
             &self.hier,
             self,
-            &self.candidates,
+            self.bounds.keys(),
             HhhParams {
                 threshold: theta * self.window as f64,
                 sampling_slack: self.sampling_slack,

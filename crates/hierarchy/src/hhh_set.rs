@@ -131,44 +131,45 @@ where
 /// depth 0 up to the maximal depth, keep every prefix whose conditioned
 /// frequency (with respect to the prefixes kept so far) reaches the
 /// threshold. Returns the selected prefixes sorted by depth then value.
-pub fn compute_hhh<Hi, E>(
+///
+/// The result depends only on the candidate set (duplicates are ignored),
+/// not on the order the candidates arrive in: prefixes of one depth cannot
+/// generalize one another, so each is judged against the prefixes selected
+/// at strictly lower depths, and each depth is visited in prefix order, so
+/// even `calcPred`'s floating-point sums run in one order.
+pub fn compute_hhh<'a, Hi, E>(
     hier: &Hi,
     estimator: &E,
-    candidates: &[Hi::Prefix],
+    candidates: impl IntoIterator<Item = &'a Hi::Prefix>,
     params: HhhParams,
 ) -> Vec<Hi::Prefix>
 where
     Hi: Hierarchy,
+    Hi::Prefix: 'a,
     E: PrefixEstimator<Hi::Prefix> + ?Sized,
 {
     let mut by_depth: Vec<Vec<Hi::Prefix>> = vec![Vec::new(); hier.max_depth() + 1];
-    let mut seen = std::collections::HashSet::new();
     for p in candidates {
-        if seen.insert(*p) {
-            by_depth[hier.depth(p)].push(*p);
-        }
+        by_depth[hier.depth(p)].push(*p);
     }
     let mut selected: Vec<Hi::Prefix> = Vec::new();
-    for level in by_depth.iter() {
-        // Candidates at the same depth are judged against the set selected at
-        // strictly lower depths (they cannot generalize one another), so the
-        // in-level iteration order does not affect the result.
-        let mut kept_this_level = Vec::new();
-        for p in level {
+    for level in &mut by_depth {
+        level.sort_unstable();
+        level.dedup();
+        let shallower = selected.len();
+        for p in level.iter() {
             let c = conditioned_frequency_estimate(
                 hier,
                 estimator,
                 p,
-                &selected,
+                &selected[..shallower],
                 params.sampling_slack,
             );
             if c >= params.threshold {
-                kept_this_level.push(*p);
+                selected.push(*p);
             }
         }
-        selected.extend(kept_this_level);
     }
-    selected.sort_by(|a, b| hier.depth(a).cmp(&hier.depth(b)).then(a.cmp(b)));
     selected
 }
 
@@ -428,6 +429,69 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Selects with `compute_hhh` over `items`' exact prefix frequencies,
+    /// from the candidates forward, reversed and shuffled with duplicates,
+    /// with and without sampling slack: every order selects the same set.
+    fn assert_candidate_order_is_irrelevant<Hi: Hierarchy>(
+        hier: &Hi,
+        items: &[Hi::Item],
+        threshold: f64,
+        seed: u64,
+    ) {
+        use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
+        let oracle = ExactPrefixOracle::from_items(hier, items.iter().copied());
+        let forward = oracle.prefixes();
+        let reversed: Vec<_> = forward.iter().rev().copied().collect();
+        let mut shuffled: Vec<_> = forward.iter().chain(&forward).copied().collect();
+        shuffled.shuffle(&mut StdRng::seed_from_u64(seed));
+        for sampling_slack in [0.0, 12.5] {
+            let params = HhhParams {
+                threshold,
+                sampling_slack,
+            };
+            let want = compute_hhh(hier, &oracle, &forward, params);
+            let depths: std::collections::HashSet<usize> =
+                want.iter().map(|p| hier.depth(p)).collect();
+            assert!(depths.len() > 1, "selections at one depth only: {want:?}");
+            assert_eq!(compute_hhh(hier, &oracle, &reversed, params), want);
+            assert_eq!(compute_hhh(hier, &oracle, &shuffled, params), want);
+        }
+    }
+
+    #[test]
+    fn compute_hhh_ignores_candidate_order_1d() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(21);
+        let items: Vec<u32> = (0..3000)
+            .map(|_| match rng.gen_range(0..4) {
+                0 => addr(10, 1, 1, rng.gen_range(0..2)),
+                1 => addr(10, rng.gen_range(0..4), rng.gen(), rng.gen()),
+                _ => addr(rng.gen(), rng.gen(), rng.gen(), rng.gen()),
+            })
+            .collect();
+        assert_candidate_order_is_irrelevant(&SrcHierarchy, &items, 300.0, 1);
+    }
+
+    #[test]
+    fn compute_hhh_ignores_candidate_order_2d() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(22);
+        let items: Vec<(u32, u32)> = (0..2000)
+            .map(|_| match rng.gen_range(0..4) {
+                0 => (addr(10, 1, 1, 1), addr(20, 0, 0, rng.gen_range(0..2))),
+                1 => (
+                    addr(10, rng.gen_range(0..3), rng.gen(), rng.gen()),
+                    addr(rng.gen(), rng.gen(), rng.gen(), rng.gen()),
+                ),
+                _ => (
+                    addr(rng.gen(), rng.gen(), rng.gen(), rng.gen()),
+                    addr(30, rng.gen_range(0..3), 0, rng.gen_range(0..4)),
+                ),
+            })
+            .collect();
+        assert_candidate_order_is_irrelevant(&SrcDstHierarchy, &items, 250.0, 2);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use std::hash::Hash;
 
-use memento_sketches::{ExactWindow, Sampler, TableSampler};
+use memento_sketches::{ExactWindow, TableSampler};
 
 use crate::comm::CommMethod;
 use crate::message::{Report, WireFormat};

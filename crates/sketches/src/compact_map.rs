@@ -1,7 +1,7 @@
 //! A flat open-addressing map for the per-packet hot path.
 //!
 //! [`CompactMap`] replaces `std::collections::HashMap` on the structures a
-//! Full update touches (the [`StreamSummary`](crate::StreamSummary) key
+//! Full update touches (the [`SpaceSaving`](crate::SpaceSaving) key
 //! index, Memento's overflow table `B`). Design, in order of importance
 //! for cache behaviour:
 //!

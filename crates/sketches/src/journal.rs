@@ -1,7 +1,7 @@
 //! The change journal behind incremental snapshot publication.
 //!
 //! [`CompactMap`](crate::CompactMap) and
-//! [`StreamSummary`](crate::StreamSummary) each own an optional
+//! [`SpaceSaving`](crate::SpaceSaving) each own an optional
 //! `Journal` that records, between two drains, which slots changed and
 //! which keys left the table, so a consumer (Memento's `freeze_patch`)
 //! re-reads only those instead of the whole table. Owners box it behind an

@@ -3,8 +3,8 @@
 //! Counting substrates used throughout the [Memento (CoNEXT 2018)][paper]
 //! reproduction:
 //!
-//! * [`SpaceSaving`] — the Space Saving algorithm of Metwally et al. backed by
-//!   an O(1) *stream-summary* bucket structure ([`stream_summary`]). Memento
+//! * [`SpaceSaving`] — the Space Saving algorithm of Metwally et al. over
+//!   the O(1) *stream-summary* bucket structure ([`space_saving`]). Memento
 //!   uses one instance per frame; MST/RHHH use one per prefix level; the
 //!   network-wide Aggregation baseline relies on its mergeability.
 //! * [`ExactInterval`] and [`ExactWindow`] — exact reference counters used as
@@ -22,7 +22,7 @@
 //!   (the stream-summary key index, Memento's overflow table, the shard
 //!   routers via [`fasthash::route`]).
 //! * [`JournalDrain`] — what the one change journal shared by
-//!   [`CompactMap`] and [`StreamSummary`] recorded between two drains:
+//!   [`CompactMap`] and [`SpaceSaving`] recorded between two drains:
 //!   the dirty slots and departed keys Memento's incremental snapshot
 //!   freeze re-reads instead of the whole table.
 //!
@@ -42,13 +42,13 @@ mod journal;
 pub mod overflow_queue;
 pub mod sampling;
 pub mod space_saving;
-pub mod stream_summary;
+#[cfg(test)]
+mod stream_summary;
 
 pub use compact_map::{CompactMap, ProbeStats};
 pub use exact::{ExactInterval, ExactTimedWindow, ExactWindow};
 pub use fasthash::{FastBuildHasher, FastHasher};
 pub use journal::JournalDrain;
 pub use overflow_queue::OverflowQueue;
-pub use sampling::{GeometricSampler, PrefixSampler, Sampler, TableSampler};
+pub use sampling::{GeometricSampler, PrefixSampler, TableSampler};
 pub use space_saving::{CounterSnapshot, SpaceSaving};
-pub use stream_summary::StreamSummary;

@@ -14,15 +14,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-/// Common interface for per-packet Bernoulli samplers.
-pub trait Sampler {
-    /// Returns `true` when the current packet should receive the expensive
-    /// (Full) update.
-    fn sample(&mut self) -> bool;
-    /// The sampling probability this sampler approximates.
-    fn probability(&self) -> f64;
-}
-
 /// Bernoulli sampler backed by a pre-filled table of uniform numbers.
 ///
 /// Each call consumes one table entry and compares it with a fixed threshold;
@@ -80,6 +71,24 @@ impl TableSampler {
         }
     }
 
+    /// Returns `true` when the current packet should receive the expensive
+    /// (Full) update: one table entry against the threshold.
+    #[inline]
+    pub fn sample(&mut self) -> bool {
+        if self.tau >= 1.0 {
+            // Still advance the table so speed comparisons at tau=1 include
+            // the same bookkeeping.
+            let _ = self.next_u32();
+            return true;
+        }
+        self.next_u32() <= self.threshold
+    }
+
+    /// The sampling probability τ.
+    pub fn probability(&self) -> f64 {
+        self.tau
+    }
+
     /// Returns the next raw uniform `u32` from the table (also advances it).
     /// Exposed so callers needing both a coin flip and a uniform choice (e.g.
     /// H-Memento's random prefix pick) pay for a single table read.
@@ -92,7 +101,7 @@ impl TableSampler {
     /// Returns the geometric skip of the next table entry (also advances
     /// it): the number of failures before the next success at rate τ,
     /// [`geometric_skip`]`(entry, ln(1 − τ))`. It shares the table position
-    /// with [`Self::next_u32`] and [`Sampler::sample`], so coins and skips
+    /// with [`Self::next_u32`] and [`Self::sample`], so coins and skips
     /// drawn from one sampler interleave on one stream.
     ///
     /// The first call allocates a skip cache parallel to the table (4 bytes
@@ -148,23 +157,6 @@ fn threshold_for(tau: f64) -> u32 {
         u32::MAX
     } else {
         (tau * u32::MAX as f64) as u32
-    }
-}
-
-impl Sampler for TableSampler {
-    #[inline]
-    fn sample(&mut self) -> bool {
-        if self.tau >= 1.0 {
-            // Still advance the table so speed comparisons at tau=1 include
-            // the same bookkeeping.
-            let _ = self.next_u32();
-            return true;
-        }
-        self.next_u32() <= self.threshold
-    }
-
-    fn probability(&self) -> f64 {
-        self.tau
     }
 }
 
@@ -266,11 +258,12 @@ impl GeometricSampler {
         let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
         (u.ln() / (1.0 - self.tau).ln()).floor() as u64
     }
-}
 
-impl Sampler for GeometricSampler {
+    /// Returns `true` when the current packet should receive the expensive
+    /// (Full) update: counts down the current skip, drawing the next one
+    /// on a sample.
     #[inline]
-    fn sample(&mut self) -> bool {
+    pub fn sample(&mut self) -> bool {
         if self.remaining == 0 {
             self.remaining = self.draw_skip();
             true
@@ -280,7 +273,8 @@ impl Sampler for GeometricSampler {
         }
     }
 
-    fn probability(&self) -> f64 {
+    /// The sampling probability τ.
+    pub fn probability(&self) -> f64 {
         self.tau
     }
 }
@@ -289,10 +283,10 @@ impl Sampler for GeometricSampler {
 mod tests {
     use super::*;
 
-    fn empirical_rate(s: &mut dyn Sampler, n: usize) -> f64 {
+    fn empirical_rate(mut sample: impl FnMut() -> bool, n: usize) -> f64 {
         let mut hits = 0usize;
         for _ in 0..n {
-            if s.sample() {
+            if sample() {
                 hits += 1;
             }
         }
@@ -303,7 +297,7 @@ mod tests {
     fn table_sampler_matches_probability() {
         for &tau in &[0.5, 0.1, 0.01] {
             let mut s = TableSampler::with_seed(tau, 42);
-            let rate = empirical_rate(&mut s, 200_000);
+            let rate = empirical_rate(|| s.sample(), 200_000);
             assert!(
                 (rate - tau).abs() < tau * 0.15 + 0.002,
                 "tau={tau} rate={rate}"
@@ -321,7 +315,7 @@ mod tests {
     fn geometric_sampler_matches_probability() {
         for &tau in &[0.5, 0.05] {
             let mut s = GeometricSampler::new(tau, 9);
-            let rate = empirical_rate(&mut s, 200_000);
+            let rate = empirical_rate(|| s.sample(), 200_000);
             assert!(
                 (rate - tau).abs() < tau * 0.15 + 0.002,
                 "tau={tau} rate={rate}"

@@ -14,15 +14,16 @@
 //!   load cap, wrapping around the table's end: both walks must return
 //!   the *identical* `Ok(slot)` / `Err((empty, fp))` for every key,
 //!   present or absent.
-//! * [`StreamSummary`] (CompactMap index + hot/cold SoA slots, one-probe
-//!   `offer`, in-place bucket bumps) vs a test-local copy of the seed-era
-//!   implementation (AoS slots, `HashMap` index, separate increment /
-//!   insert / replace-min steps): same operation sequences must produce
-//!   identical counts, error terms, evicted keys and minimum counters.
+//! * [`SpaceSaving`]'s stream summary (CompactMap index + hot/cold SoA
+//!   slots, one-probe `offer`, in-place bucket bumps) vs a test-local copy
+//!   of the seed-era implementation (AoS slots, `HashMap` index, separate
+//!   increment / insert / replace-min steps): same operation sequences
+//!   must produce identical counts, error terms, evicted keys and minimum
+//!   counters.
 
 use std::collections::HashMap;
 
-use memento_sketches::{CompactMap, StreamSummary};
+use memento_sketches::{CompactMap, SpaceSaving};
 use proptest::prelude::*;
 
 /// One differential step: both maps get the op, both must agree on every
@@ -197,15 +198,15 @@ proptest! {
         run_map_ops(&ops);
     }
 
-    /// The new StreamSummary behaves exactly as the old one on any op
-    /// sequence: layout, probe count and bucket reuse are invisible.
+    /// SpaceSaving's stream summary behaves exactly as the seed's on any
+    /// op sequence: layout, probe count and bucket reuse are invisible.
     #[test]
     fn stream_summary_matches_seed_implementation(
         ops in prop::collection::vec((0u8..4, 0u8..32), 1..500),
         capacity in 1usize..12,
     ) {
-        let mut new = StreamSummary::new(capacity);
-        let mut old = seed_summary::StreamSummary::new(capacity);
+        let mut new = SpaceSaving::new(capacity);
+        let mut old = seed_summary::SeedSummary::new(capacity);
         for &(op, key) in &ops {
             let key = key as u32;
             match op {
@@ -228,17 +229,20 @@ proptest! {
                     prop_assert_eq!(got, want);
                 }
                 1 => {
-                    prop_assert_eq!(new.get(&key), old.get(&key));
-                    prop_assert_eq!(new.get_with_error(&key), old.get_with_error(&key));
+                    let counter = new
+                        .slot_of(&key)
+                        .and_then(|slot| new.slot_entry(slot))
+                        .map(|(_, count, error)| (count, error));
+                    prop_assert_eq!(counter.map(|(count, _)| count), old.get(&key));
+                    prop_assert_eq!(counter, old.get_with_error(&key));
                 }
                 2 => {
                     prop_assert_eq!(new.min_count(), old.min_count());
-                    prop_assert_eq!(new.len(), old.len());
-                    prop_assert_eq!(new.is_full(), old.is_full());
+                    prop_assert_eq!(new.monitored(), old.len());
+                    prop_assert_eq!(new.monitored() == new.counters(), old.is_full());
                 }
                 _ => {
-                    let mut lhs: Vec<(u32, u64, u64)> =
-                        new.iter().map(|(k, c, e)| (*k, c, e)).collect();
+                    let mut lhs = counters(&new);
                     let mut rhs: Vec<(u32, u64, u64)> =
                         old.iter().map(|(k, c, e)| (*k, c, e)).collect();
                     lhs.sort_unstable();
@@ -248,12 +252,21 @@ proptest! {
             }
         }
         new.check_invariants();
-        let mut lhs: Vec<(u32, u64, u64)> = new.iter().map(|(k, c, e)| (*k, c, e)).collect();
+        let mut lhs = counters(&new);
         let mut rhs: Vec<(u32, u64, u64)> = old.iter().map(|(k, c, e)| (*k, c, e)).collect();
         lhs.sort_unstable();
         rhs.sort_unstable();
         prop_assert_eq!(lhs, rhs);
     }
+}
+
+/// Every counter of `summary` as `(key, count, error)`.
+fn counters(summary: &SpaceSaving<u32>) -> Vec<(u32, u64, u64)> {
+    summary
+        .snapshot()
+        .into_iter()
+        .map(|c| (c.key, c.count, c.error))
+        .collect()
 }
 
 /// The seed-era stream summary, verbatim in structure: array-of-structs
@@ -285,7 +298,7 @@ mod seed_summary {
     }
 
     #[derive(Debug, Clone)]
-    pub struct StreamSummary<K: Eq + Hash + Clone> {
+    pub struct SeedSummary<K: Eq + Hash + Clone> {
         slots: Vec<CounterSlot<K>>,
         buckets: Vec<Bucket>,
         free_buckets: Vec<usize>,
@@ -294,10 +307,10 @@ mod seed_summary {
         capacity: usize,
     }
 
-    impl<K: Eq + Hash + Clone> StreamSummary<K> {
+    impl<K: Eq + Hash + Clone> SeedSummary<K> {
         pub fn new(capacity: usize) -> Self {
             assert!(capacity > 0);
-            StreamSummary {
+            SeedSummary {
                 slots: Vec::with_capacity(capacity),
                 buckets: Vec::with_capacity(capacity + 1),
                 free_buckets: Vec::new(),

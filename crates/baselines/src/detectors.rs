@@ -18,7 +18,6 @@
 
 use std::hash::Hash;
 
-use memento_core::traits::SlidingWindowEstimator;
 use memento_sketches::{ExactInterval, ExactWindow};
 
 /// A detection discipline tracking one target flow.
@@ -151,52 +150,10 @@ impl<K: Eq + Hash + Clone> Detector<K> for IntervalDetector<K> {
     }
 }
 
-/// Adapter running any [`SlidingWindowEstimator`] as a sliding-window
-/// detection discipline: the flow is reported once its *estimated* window
-/// frequency reaches the threshold.
-///
-/// This is the glue between the workspace's estimator trait layer and the
-/// §3 detection framing — the same generic [`detection_index`] driver
-/// measures the exact disciplines above and any approximate estimator
-/// (Memento at any τ, WCSS, …) without per-algorithm driver code.
-#[derive(Debug, Clone)]
-pub struct EstimatorDetector<K, E> {
-    estimator: E,
-    target: K,
-    threshold: f64,
-}
-
-impl<K: Clone, E: SlidingWindowEstimator<K>> EstimatorDetector<K, E> {
-    /// Wraps `estimator` to detect `target` at `threshold` packets.
-    pub fn new(estimator: E, target: K, threshold: f64) -> Self {
-        EstimatorDetector {
-            estimator,
-            target,
-            threshold,
-        }
-    }
-
-    /// The wrapped estimator.
-    pub fn estimator(&self) -> &E {
-        &self.estimator
-    }
-}
-
-impl<K: Clone, E: SlidingWindowEstimator<K>> Detector<K> for EstimatorDetector<K, E> {
-    fn process(&mut self, key: K) -> bool {
-        self.estimator.update(key);
-        self.estimator.estimate(&self.target) >= self.threshold
-    }
-
-    fn name(&self) -> &'static str {
-        self.estimator.name()
-    }
-}
-
 /// Runs a detector over a packet stream and returns the index (0-based, in
 /// packets) of the first packet at which the target is reported, or `None`.
 /// This is the *only* detection driver in the workspace: every discipline
-/// and every estimator-backed detector goes through it.
+/// goes through it.
 pub fn detection_index<K, D, I>(detector: &mut D, stream: I) -> Option<usize>
 where
     D: Detector<K> + ?Sized,
@@ -287,28 +244,6 @@ mod tests {
         let s = stream(8_000, 0, 5);
         let mut det = WindowDetector::new(w, 1u64, threshold);
         assert_eq!(detection_index(&mut det, s), None);
-    }
-
-    #[test]
-    fn estimator_detector_tracks_the_window_discipline() {
-        use memento_core::Memento;
-        let w = 1_000;
-        let threshold = 100;
-        let s = stream(10_000, 2_500, 5);
-        let mut exact = WindowDetector::new(w, 1u64, threshold);
-        // WCSS-mode Memento (tau = 1) with enough counters to be near-exact;
-        // its estimate is an upper bound, so it can only detect earlier.
-        let approx = Memento::new(256, w, 1.0, 7);
-        let mut est = EstimatorDetector::new(approx, 1u64, threshold as f64);
-        let exact_idx = detection_index(&mut exact, s.clone()).expect("exact must detect");
-        let est_idx = detection_index(&mut est, s).expect("estimator must detect");
-        assert!(
-            est_idx <= exact_idx,
-            "upper-bound estimator detected later ({est_idx}) than exact ({exact_idx})"
-        );
-        // And not absurdly early: within one block-quantization of the onset.
-        assert!(est_idx >= 2_500, "detected before the flow appeared");
-        assert_eq!(est.name(), "memento");
     }
 
     #[test]

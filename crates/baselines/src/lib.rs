@@ -28,9 +28,7 @@ pub mod mst;
 pub mod rhhh;
 pub mod window_mst;
 
-pub use detectors::{
-    Detector, EstimatorDetector, ImprovedIntervalDetector, IntervalDetector, WindowDetector,
-};
+pub use detectors::{Detector, ImprovedIntervalDetector, IntervalDetector, WindowDetector};
 pub use exact_hhh::ExactWindowHhh;
 pub use mst::Mst;
 pub use rhhh::Rhhh;

@@ -6,7 +6,8 @@
 //!   (random-number table vs geometric skips),
 //! * Memento's Window update alone (the fixed per-packet cost).
 //!
-//! These quantify the design choices called out in DESIGN.md.
+//! These quantify the design choices called out in ARCHITECTURE.md, "The
+//! hot path & memory layout".
 
 use std::time::Duration;
 

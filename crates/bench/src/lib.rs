@@ -4,8 +4,8 @@
 //!
 //! Each figure of the paper's evaluation has a dedicated binary under
 //! `src/bin/` that prints the same series the paper plots as CSV on stdout
-//! (see `DESIGN.md` §6 for the experiment index and `EXPERIMENTS.md` for the
-//! recorded results). The Criterion benches under `benches/` measure the
+//! (the repository README's "Reproducing the paper's figures" lists them,
+//! and `crates/bench/EXPERIMENTS.md` records the results). The Criterion benches under `benches/` measure the
 //! speed comparisons (Figures 5–7) with statistical rigor.
 //!
 //! All harnesses run at a laptop-friendly scale by default; pass `--full`

@@ -19,7 +19,7 @@
 //! "τ·H", but its analysis (Theorem 5.3, `V ≜ H/τ`) and evaluation
 //! (`τ ≥ H·2⁻¹⁰` so that *each prefix* is sampled with probability `≥ 2⁻¹⁰`)
 //! fix the per-prefix sampling probability at `τ/H`; this implementation
-//! follows the analysis (see DESIGN.md §5).
+//! follows the analysis (see ARCHITECTURE.md, "Deviations from the paper").
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -214,7 +214,8 @@ where
         }
     }
 
-    /// Estimated window frequency of a prefix (`f̂ = X̂ · V`).
+    /// Estimated window frequency of a prefix (`f̂ = X̂ · V`), the upper
+    /// bound `f̂⁺` that `OUTPUT` uses.
     pub fn estimate(&self, prefix: &Hi::Prefix) -> f64 {
         self.memento.estimate(prefix)
     }
@@ -224,11 +225,6 @@ where
     /// [`Memento::point_estimate`](crate::Memento::point_estimate).
     pub fn point_estimate(&self, prefix: &Hi::Prefix) -> f64 {
         self.memento.point_estimate(prefix)
-    }
-
-    /// Upper bound `f̂⁺` on the window frequency of a prefix.
-    pub fn upper(&self, prefix: &Hi::Prefix) -> f64 {
-        self.memento.upper_bound(prefix)
     }
 
     /// Lower bound `f̂⁻` on the window frequency of a prefix.
@@ -297,7 +293,7 @@ where
     Hi::Prefix: Hash,
 {
     fn upper_bound(&self, p: &Hi::Prefix) -> f64 {
-        self.memento.upper_bound(p)
+        self.memento.estimate(p)
     }
 
     fn lower_bound(&self, p: &Hi::Prefix) -> f64 {

@@ -950,11 +950,6 @@ impl<K: Eq + Hash + Clone> Memento<K> {
         self.upper(0, self.y.absent_query())
     }
 
-    /// Upper bound on the window frequency (alias of [`Self::estimate`]).
-    pub fn upper_bound(&self, key: &K) -> f64 {
-        self.estimate(key)
-    }
-
     /// Lower bound on the window frequency, derived from the overflow count
     /// alone (each overflow beyond the ±2-block uncertainty witnesses one
     /// block worth of sampled traffic).
@@ -1285,7 +1280,7 @@ mod tests {
             memento.update(flow);
         }
         for flow in 0..50u64 {
-            assert!(memento.lower_bound(&flow) <= memento.upper_bound(&flow) + 1e-9);
+            assert!(memento.lower_bound(&flow) <= memento.estimate(&flow) + 1e-9);
         }
     }
 
@@ -1306,7 +1301,7 @@ mod tests {
         }
         let real = exact.query(&1) as f64;
         let point = memento.point_estimate(&1);
-        let upper = memento.upper_bound(&1);
+        let upper = memento.estimate(&1);
         assert!(point <= upper);
         assert!(
             (point - real).abs()

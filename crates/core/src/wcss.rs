@@ -46,11 +46,6 @@ impl<K: Eq + Hash + Clone> Wcss<K> {
         self.inner.estimate(key)
     }
 
-    /// Upper bound on the window frequency of `key`.
-    pub fn upper_bound(&self, key: &K) -> f64 {
-        self.inner.upper_bound(key)
-    }
-
     /// Lower bound on the window frequency of `key`.
     pub fn lower_bound(&self, key: &K) -> f64 {
         self.inner.lower_bound(key)

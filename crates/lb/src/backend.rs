@@ -1,134 +1,48 @@
 //! Backend server pool.
 //!
 //! Stands in for the Apache instances behind the paper's HAProxy deployment:
-//! the pool dispatches served requests to backends (round-robin, as HAProxy
-//! defaults to, or least-connections) and tracks per-backend load so the
-//! flood experiments can report how much attack traffic reached the servers.
+//! the pool dispatches served requests to backends round-robin, as HAProxy
+//! defaults to, and counts what each backend served.
 
 use serde::{Deserialize, Serialize};
 
 /// One backend server.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Backend {
-    /// Backend identifier.
-    pub id: usize,
-    /// Requests currently "in flight" (used by least-connections dispatch).
-    pub active: u64,
     /// Total requests served.
     pub served: u64,
-    /// Whether the backend is in rotation.
-    pub healthy: bool,
-}
-
-impl Backend {
-    /// Creates a healthy, idle backend.
-    pub fn new(id: usize) -> Self {
-        Backend {
-            id,
-            active: 0,
-            served: 0,
-            healthy: true,
-        }
-    }
-}
-
-/// Dispatch strategy for the pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DispatchStrategy {
-    /// Rotate through healthy backends (HAProxy's default `roundrobin`).
-    RoundRobin,
-    /// Pick the healthy backend with the fewest active requests
-    /// (HAProxy's `leastconn`).
-    LeastConnections,
 }
 
 /// A pool of backend servers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BackendPool {
     backends: Vec<Backend>,
-    strategy: DispatchStrategy,
     next: usize,
 }
 
 impl BackendPool {
-    /// Creates a pool of `n` healthy backends.
+    /// Creates a pool of `n` idle backends.
     ///
     /// # Panics
     /// Panics if `n == 0`.
-    pub fn new(n: usize, strategy: DispatchStrategy) -> Self {
+    pub fn new(n: usize) -> Self {
         assert!(n > 0, "a pool needs at least one backend");
         BackendPool {
-            backends: (0..n).map(Backend::new).collect(),
-            strategy,
+            backends: vec![Backend::default(); n],
             next: 0,
         }
     }
 
-    /// Number of backends (healthy or not).
-    pub fn len(&self) -> usize {
-        self.backends.len()
-    }
-
-    /// True when the pool has no backends (never the case after `new`).
-    pub fn is_empty(&self) -> bool {
-        self.backends.is_empty()
-    }
-
-    /// The dispatch strategy.
-    pub fn strategy(&self) -> DispatchStrategy {
-        self.strategy
-    }
-
-    /// Immutable view of the backends.
-    pub fn backends(&self) -> &[Backend] {
-        &self.backends
-    }
-
-    /// Marks a backend healthy/unhealthy (e.g. failed health check).
-    pub fn set_health(&mut self, id: usize, healthy: bool) {
-        if let Some(b) = self.backends.get_mut(id) {
-            b.healthy = healthy;
-        }
-    }
-
-    /// Dispatches one request; returns the chosen backend id, or `None` when
-    /// no backend is healthy.
-    pub fn dispatch(&mut self) -> Option<usize> {
-        if !self.backends.iter().any(|b| b.healthy) {
-            return None;
-        }
-        let id = match self.strategy {
-            DispatchStrategy::RoundRobin => {
-                let n = self.backends.len();
-                let mut idx = self.next;
-                loop {
-                    let candidate = idx % n;
-                    idx += 1;
-                    if self.backends[candidate].healthy {
-                        self.next = idx % n;
-                        break candidate;
-                    }
-                }
-            }
-            DispatchStrategy::LeastConnections => self
-                .backends
-                .iter()
-                .filter(|b| b.healthy)
-                .min_by_key(|b| b.active)
-                .map(|b| b.id)
-                .expect("at least one healthy backend"),
+    /// Dispatches one request round-robin; returns the chosen backend id.
+    pub fn dispatch(&mut self) -> usize {
+        let id = self.next;
+        self.next = if id + 1 == self.backends.len() {
+            0
+        } else {
+            id + 1
         };
-        let b = &mut self.backends[id];
-        b.active += 1;
-        b.served += 1;
-        Some(id)
-    }
-
-    /// Marks one request on `id` as finished.
-    pub fn complete(&mut self, id: usize) {
-        if let Some(b) = self.backends.get_mut(id) {
-            b.active = b.active.saturating_sub(1);
-        }
+        self.backends[id].served += 1;
+        id
     }
 
     /// Total requests served by the whole pool.
@@ -143,47 +57,18 @@ mod tests {
 
     #[test]
     fn round_robin_rotates_evenly() {
-        let mut pool = BackendPool::new(3, DispatchStrategy::RoundRobin);
+        let mut pool = BackendPool::new(3);
         let mut counts = [0u32; 3];
         for _ in 0..9 {
-            counts[pool.dispatch().unwrap()] += 1;
+            counts[pool.dispatch()] += 1;
         }
         assert_eq!(counts, [3, 3, 3]);
         assert_eq!(pool.total_served(), 9);
     }
 
     #[test]
-    fn round_robin_skips_unhealthy_backends() {
-        let mut pool = BackendPool::new(3, DispatchStrategy::RoundRobin);
-        pool.set_health(1, false);
-        for _ in 0..10 {
-            let id = pool.dispatch().unwrap();
-            assert_ne!(id, 1);
-        }
-    }
-
-    #[test]
-    fn least_connections_prefers_idle_backend() {
-        let mut pool = BackendPool::new(2, DispatchStrategy::LeastConnections);
-        let a = pool.dispatch().unwrap();
-        let b = pool.dispatch().unwrap();
-        assert_ne!(a, b, "second request must go to the idle backend");
-        pool.complete(a);
-        let c = pool.dispatch().unwrap();
-        assert_eq!(c, a, "completed backend is the least loaded again");
-    }
-
-    #[test]
-    fn no_healthy_backend_means_no_dispatch() {
-        let mut pool = BackendPool::new(2, DispatchStrategy::RoundRobin);
-        pool.set_health(0, false);
-        pool.set_health(1, false);
-        assert_eq!(pool.dispatch(), None);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one backend")]
     fn empty_pool_panics() {
-        let _ = BackendPool::new(0, DispatchStrategy::RoundRobin);
+        let _ = BackendPool::new(0);
     }
 }

@@ -56,12 +56,10 @@ impl HttpRequest {
 /// What the load balancer did with a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RequestOutcome {
-    /// Forwarded to a backend, which answered with the given status.
+    /// Forwarded to a backend.
     Served {
         /// Backend that served the request.
         backend: usize,
-        /// HTTP status code returned.
-        status: u16,
     },
     /// Rejected by a Deny ACL rule.
     Denied,
@@ -97,11 +95,7 @@ mod tests {
 
     #[test]
     fn only_served_requests_reach_backends() {
-        assert!(RequestOutcome::Served {
-            backend: 0,
-            status: 200
-        }
-        .reached_backend());
+        assert!(RequestOutcome::Served { backend: 0 }.reached_backend());
         assert!(!RequestOutcome::Denied.reached_backend());
         assert!(!RequestOutcome::Tarpitted.reached_backend());
         assert!(!RequestOutcome::RateLimited.reached_backend());

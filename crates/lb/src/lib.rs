@@ -7,12 +7,12 @@
 //! maintains a network-wide sliding-window HHH view used to mitigate HTTP
 //! floods.
 //!
-//! This crate reproduces that information flow in-process (see DESIGN.md §5
-//! for why the substitution preserves the evaluated behaviour):
+//! This crate reproduces that information flow in-process (see
+//! ARCHITECTURE.md, "Deviations from the paper", for why the substitution
+//! preserves the evaluated behaviour):
 //!
 //! * [`http`] — a minimal stateful HTTP request model;
-//! * [`backend`] — backend server pools with round-robin / least-connections
-//!   dispatch;
+//! * [`backend`] — backend server pools with round-robin dispatch;
 //! * [`acl`] — HAProxy-style subnet ACLs (Deny, Tarpit, rate-limit) with
 //!   longest-prefix matching;
 //! * [`proxy`] — the measurement-enabled load balancer: ingress measurement,
@@ -31,7 +31,7 @@ pub mod proxy;
 pub mod scenario;
 
 pub use acl::{AclAction, AclTable};
-pub use backend::{Backend, BackendPool, DispatchStrategy};
+pub use backend::{Backend, BackendPool};
 pub use http::{HttpMethod, HttpRequest, RequestOutcome};
 pub use mitigation::Mitigator;
 pub use proxy::{LoadBalancer, ProxyStats};

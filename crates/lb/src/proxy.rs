@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use memento_netwide::point::MeasurementPoint;
 
 use crate::acl::{AclAction, AclTable};
-use crate::backend::{BackendPool, DispatchStrategy};
+use crate::backend::BackendPool;
 use crate::http::{HttpRequest, RequestOutcome};
 
 /// Per-proxy request counters.
@@ -60,7 +60,7 @@ impl LoadBalancer {
         LoadBalancer {
             id,
             acl: AclTable::new(),
-            pool: BackendPool::new(backends, DispatchStrategy::RoundRobin),
+            pool: BackendPool::new(backends),
             point: MeasurementPoint::new(id, method, budget, wire, local_window, seed),
             stats: ProxyStats::default(),
         }
@@ -84,11 +84,6 @@ impl LoadBalancer {
     /// The ACL table, read-only.
     pub fn acl(&self) -> &AclTable {
         &self.acl
-    }
-
-    /// The backend pool, read-only.
-    pub fn pool(&self) -> &BackendPool {
-        &self.pool
     }
 
     /// Average control-plane bytes per ingress request of this proxy.
@@ -117,25 +112,12 @@ impl LoadBalancer {
                 self.stats.rate_limited += 1;
                 RequestOutcome::RateLimited
             }
-            None => match self.pool.dispatch() {
-                Some(backend) => {
-                    self.stats.served += 1;
-                    // The simulated backend answers immediately.
-                    self.pool.complete(backend);
-                    RequestOutcome::Served {
-                        backend,
-                        status: 200,
-                    }
+            None => {
+                self.stats.served += 1;
+                RequestOutcome::Served {
+                    backend: self.pool.dispatch(),
                 }
-                None => {
-                    // No healthy backend: surfaced as a 503 from the proxy.
-                    self.stats.served += 1;
-                    RequestOutcome::Served {
-                        backend: usize::MAX,
-                        status: 503,
-                    }
-                }
-            },
+            }
         };
         (outcome, report)
     }
@@ -169,8 +151,7 @@ mod tests {
         for i in 0..9 {
             let (outcome, _) = lb.handle(HttpRequest::get(addr(1, 2, 3, i), addr(9, 9, 9, 9), 0));
             match outcome {
-                RequestOutcome::Served { backend, status } => {
-                    assert_eq!(status, 200);
+                RequestOutcome::Served { backend } => {
                     backends.insert(backend);
                 }
                 other => panic!("expected served, got {other:?}"),
@@ -224,19 +205,5 @@ mod tests {
         }
         assert_eq!(lb.stats().served, 5);
         assert_eq!(lb.stats().rate_limited, 95);
-    }
-
-    #[test]
-    fn unhealthy_pool_returns_503() {
-        let mut lb = proxy();
-        for b in 0..3 {
-            // Reach into the pool via the public surface: mark unhealthy.
-            // (Backends are owned by the proxy, so expose through pool().)
-            assert!(lb.pool().backends()[b].healthy);
-        }
-        // No public set_health on proxy by design; a fully drained pool is a
-        // deployment bug, covered at the pool level instead.
-        let (outcome, _) = lb.handle(HttpRequest::get(addr(1, 1, 1, 1), addr(2, 2, 2, 2), 0));
-        assert!(outcome.reached_backend());
     }
 }

@@ -117,6 +117,17 @@ pub trait Shard: Send + Sized + 'static {
 /// queries whenever they force a publication (always, under the default
 /// [`PublishPolicy::on_query`]). [`Reader`]s keep answering from the last
 /// published snapshot, and dropping the engine is clean.
+///
+/// **After a shard panics.** A worker thread (`{name}-shard-{i}`) that
+/// panics — replaying an item or a `skip`, or freezing its part — ends,
+/// and its queue closes. The engine waits on its shards only through
+/// their queues, so nothing hangs: the next shipment to that shard, the
+/// next [`publish_now`](Self::publish_now) and every query that forces a
+/// publication panic within a bounded time with a message that names the
+/// shard's thread. A shipment's panic is raised under the router lock and
+/// poisons it, as above. [`Reader`]s keep answering from the last
+/// published snapshot. Dropping the engine panics naming the shard,
+/// unless the thread is already unwinding, so it never aborts.
 pub struct Engine<A: Shard> {
     workers: Vec<ShardWorker<A>>,
     /// Gap-stamped buffers and position bookkeeping. Behind a mutex so the
@@ -293,12 +304,24 @@ impl<A: Shard> Engine<A> {
     /// `publish_now` returns, every reader observes a snapshot at least
     /// this fresh.
     ///
+    /// The wait is a barrier through the worker FIFOs, taken after the
+    /// router lock is released: one empty call per worker. Each worker
+    /// runs its freeze job for the epoch before that call, and the
+    /// delivery that completes an epoch publishes it, so when the last
+    /// call returns the pointer holds this epoch or a later one. A
+    /// re-stamped epoch is in the pointer already and skips the barrier.
+    ///
     /// # Panics
     /// Panics with "router state poisoned" after any panic under the
-    /// router lock (see the [type docs](Self)).
+    /// router lock, and with a message naming the shard after a shard's
+    /// worker panicked (see the [type docs](Self)).
     pub fn publish_now(&self) -> u64 {
         let epoch = self.publish_epoch(&mut self.lock());
-        self.hub.wait_published(epoch);
+        if self.hub.published() < epoch {
+            for worker in &self.workers {
+                worker.call(|_| ());
+            }
+        }
         epoch
     }
 
@@ -481,7 +504,8 @@ impl<A: Shard> std::fmt::Debug for Engine<A> {
 /// interval. `processed` doubles as the drain barrier the throughput
 /// harnesses rely on: the forced publication's freeze jobs run after every
 /// shipped batch on every worker FIFO. A forced publication panics with
-/// "router state poisoned" after a panic under the router lock (see the
+/// "router state poisoned" after a panic under the router lock, and with a
+/// message naming the shard after a shard's worker panicked (see the
 /// [`Engine`] docs).
 impl<K: Clone, A: Shard> WindowQuery<K> for Engine<A>
 where

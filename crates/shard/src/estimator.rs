@@ -18,9 +18,8 @@ pub type BoxedEstimator<K> = Box<dyn SlidingWindowEstimator<K> + Send>;
 /// heavy-hitter queries are the union of the per-shard answers (see
 /// [`EngineSnapshot`](crate::EngineSnapshot)). The engine implements
 /// [`SlidingWindowEstimator`] itself, so every generic driver in the
-/// workspace — the figure harnesses, the detection disciplines, the
-/// flood-mitigation scenario, the time plane — can run sharded without
-/// modification.
+/// workspace — the figure harnesses, the flood-mitigation scenario, the
+/// time plane — can run sharded without modification.
 pub type ShardedEstimator<K> = Engine<BoxedEstimator<K>>;
 
 /// A [`Reader`] of a [`ShardedEstimator`]'s snapshots.

@@ -47,7 +47,7 @@
 use std::collections::{HashSet, VecDeque};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use memento_core::query::{FrozenHhh, HhhQuery, WindowQuery};
 use memento_core::{DeltaWindow, WindowPatch};
@@ -124,8 +124,6 @@ pub(crate) struct SnapshotHub<P, V> {
     /// Publications come in epoch order, so its snapshot's epoch is also
     /// the highest published one.
     latest: Mutex<Option<Arc<EngineSnapshot<V>>>>,
-    /// Signalled on every publication, for `wait_published`.
-    published: Condvar,
 }
 
 impl<P, V> std::fmt::Debug for SnapshotHub<P, V> {
@@ -155,7 +153,6 @@ impl<P, V> SnapshotHub<P, V> {
                 assemble,
             }),
             latest: Mutex::new(None),
-            published: Condvar::new(),
         }
     }
 
@@ -207,11 +204,11 @@ impl<P, V> SnapshotHub<P, V> {
         });
     }
 
-    /// Stores `snapshot` in the pointer, releases the previous one and
-    /// wakes `wait_published`. Callers publish in increasing epoch order.
+    /// Stores `snapshot` in the pointer and releases the previous one
+    /// outside the pointer's lock. Callers publish in increasing epoch
+    /// order.
     fn publish(&self, snapshot: EngineSnapshot<V>) {
         let released = self.pointer().replace(Arc::new(snapshot));
-        self.published.notify_all();
         drop(released);
     }
 
@@ -220,19 +217,8 @@ impl<P, V> SnapshotHub<P, V> {
     }
 
     /// The highest published epoch, 0 before the first publication.
-    fn epoch_of(latest: &Option<Arc<EngineSnapshot<V>>>) -> u64 {
-        latest.as_ref().map_or(0, |snapshot| snapshot.epoch)
-    }
-
-    /// Blocks until `epoch` (and everything before it) is published.
-    pub(crate) fn wait_published(&self, epoch: u64) {
-        let mut latest = self.pointer();
-        while Self::epoch_of(&latest) < epoch {
-            latest = self
-                .published
-                .wait(latest)
-                .expect("snapshot pointer poisoned");
-        }
+    pub(crate) fn published(&self) -> u64 {
+        self.pointer().as_ref().map_or(0, |snapshot| snapshot.epoch)
     }
 
     /// The latest published snapshot, or `None` before the first
@@ -246,7 +232,7 @@ impl<P, V> SnapshotHub<P, V> {
     /// serializes `begin_epoch` (the engines' router lock) for the answer
     /// to stay true while they act on it.
     pub(crate) fn quiescent(&self) -> bool {
-        Self::epoch_of(&self.pointer()) == self.epochs.load(Ordering::Relaxed)
+        self.published() == self.epochs.load(Ordering::Relaxed)
     }
 
     /// Publishes the latest snapshot re-stamped as `epoch` without
@@ -481,7 +467,6 @@ mod tests {
         assert!(hub.latest().is_none(), "incomplete epoch must not publish");
         hub.deliver(epoch, 0, 20);
         hub.deliver(epoch, 2, 30);
-        hub.wait_published(epoch);
         // Parts come back in shard order regardless of delivery order.
         assert_eq!(latest(&hub), (epoch, vec![20, 10, 30]));
     }
@@ -499,7 +484,6 @@ mod tests {
         hub.deliver(e1, 1, 10);
         assert_eq!(latest(&hub), (e1, vec![1, 10]));
         hub.deliver(e2, 1, 20);
-        hub.wait_published(e2);
         assert_eq!(latest(&hub), (e2, vec![2, 20]));
     }
 
@@ -537,7 +521,6 @@ mod tests {
         let e2 = hub.begin_epoch();
         assert!(!hub.quiescent(), "allocated epoch counts as in flight");
         assert!(hub.publish_restamped(e2));
-        hub.wait_published(e2);
         assert_eq!(latest(&hub), (e2, vec![42]));
         let after = hub.latest().expect("restamped");
         assert!(Arc::ptr_eq(&before.shards, &after.shards), "views copied");

@@ -18,8 +18,14 @@ pub(crate) type Job<S> = Box<dyn FnOnce(&mut S) + Send + 'static>;
 ///
 /// Jobs run strictly in submission order. Dropping the worker closes the
 /// channel, drains the remaining jobs and joins the thread.
+///
+/// A job that panics ends the thread, which drops the channel's receiver
+/// and every job still queued, reply channels included. No wait on a dead
+/// worker can hang: `send` and `call` fail at once, or as soon as the
+/// thread dies, and each of the three failure panics names the thread.
 #[derive(Debug)]
 pub(crate) struct ShardWorker<S: Send + 'static> {
+    name: String,
     tx: Option<SyncSender<Job<S>>>,
     handle: Option<JoinHandle<()>>,
 }
@@ -30,7 +36,7 @@ impl<S: Send + 'static> ShardWorker<S> {
         assert!(depth > 0, "job queue depth must be positive");
         let (tx, rx): (SyncSender<Job<S>>, Receiver<Job<S>>) = sync_channel(depth);
         let handle = std::thread::Builder::new()
-            .name(name)
+            .name(name.clone())
             .spawn(move || {
                 while let Ok(job) = rx.recv() {
                     job(&mut state);
@@ -38,6 +44,7 @@ impl<S: Send + 'static> ShardWorker<S> {
             })
             .expect("failed to spawn shard worker thread");
         ShardWorker {
+            name,
             tx: Some(tx),
             handle: Some(handle),
         }
@@ -45,16 +52,22 @@ impl<S: Send + 'static> ShardWorker<S> {
 
     /// Enqueues a fire-and-forget job (the update hot path). Blocks when the
     /// queue is full (backpressure).
+    ///
+    /// # Panics
+    /// Panics naming the worker when its thread has panicked.
     pub(crate) fn send(&self, job: Job<S>) {
         self.tx
             .as_ref()
             .expect("shard worker already shut down")
             .send(job)
-            .expect("shard worker thread hung up");
+            .unwrap_or_else(|_| panic!("shard worker {} hung up: it panicked", self.name));
     }
 
     /// Runs `f` on the worker thread after all previously enqueued jobs and
     /// returns its result (the query path).
+    ///
+    /// # Panics
+    /// Panics naming the worker when its thread panics before `f` returns.
     pub(crate) fn call<R, F>(&self, f: F) -> R
     where
         R: Send + 'static,
@@ -66,7 +79,8 @@ impl<S: Send + 'static> ShardWorker<S> {
             // either way a failed send must not take the worker down.
             let _ = rtx.send(f(state));
         }));
-        rrx.recv().expect("shard worker dropped before responding")
+        rrx.recv()
+            .unwrap_or_else(|_| panic!("shard worker {} dropped a call: it panicked", self.name))
     }
 }
 
@@ -78,7 +92,7 @@ impl<S: Send + 'static> Drop for ShardWorker<S> {
             // Propagating a worker panic here would abort during unwinding;
             // report it instead.
             if handle.join().is_err() && !std::thread::panicking() {
-                panic!("shard worker thread panicked");
+                panic!("shard worker {} panicked", self.name);
             }
         }
     }

@@ -5,7 +5,7 @@
 //! The paper evaluates on three real packet traces — a CAIDA backbone link, a
 //! university datacenter and an edge router — that are not redistributable.
 //! This crate provides the closest synthetic equivalents (documented in
-//! `DESIGN.md` §5): heavy-tailed flow-size distributions with per-preset skew
+//! ARCHITECTURE.md, "Deviations from the paper"): heavy-tailed flow-size distributions with per-preset skew
 //! and subnet locality, so that all evaluated quantities (speedups, RMSE,
 //! HHH accuracy per prefix level, detection latency) exercise the same code
 //! paths and exhibit the same qualitative behaviour. Real traces can be

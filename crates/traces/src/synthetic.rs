@@ -1,10 +1,11 @@
 //! Synthetic packet-trace generation.
 //!
-//! Stand-in for the paper's three real traces (see DESIGN.md §5). A preset
-//! fixes (i) the number of distinct flows, (ii) the skew of the flow-size
-//! Zipf distribution, and (iii) the skew of the per-octet address
-//! distribution that creates subnet locality (so that subnets, not just
-//! flows, are heavy-tailed — which is what the HHH experiments need).
+//! Stand-in for the paper's three real traces (see ARCHITECTURE.md,
+//! "Deviations from the paper"). A preset fixes (i) the number of distinct
+//! flows, (ii) the skew of the flow-size Zipf distribution, and (iii) the
+//! skew of the per-octet address distribution that creates subnet locality
+//! (so that subnets, not just flows, are heavy-tailed — which is what the
+//! HHH experiments need).
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

@@ -55,7 +55,7 @@ proptest! {
         }
         for flow in 0u64..20 {
             let lo = memento.lower_bound(&flow);
-            let hi = memento.upper_bound(&flow);
+            let hi = memento.estimate(&flow);
             prop_assert!(lo <= hi + 1e-9, "bounds inverted for {}", flow);
             if tau_inv == 1 {
                 prop_assert!(hi + 1e-9 >= exact.query(&flow) as f64,

@@ -146,9 +146,6 @@ pub struct Memento<K: Eq + Hash + Clone> {
     /// can prefetch ahead. Kept on the struct to amortize the allocation
     /// across batches; always logically empty between calls.
     batch_sampled: Vec<usize>,
-    /// Reused scratch for [`Self::update_batch_positioned`]'s offset scan
-    /// (window offset just past each key), logically empty between calls.
-    batch_offsets: Vec<u64>,
     /// Total packets processed (full + window updates).
     processed: u64,
     /// Number of Full updates performed (for diagnostics/tests).
@@ -219,7 +216,6 @@ impl<K: Eq + Hash + Clone> Memento<K> {
             sampler: TableSampler::with_seed(config.tau, config.seed),
             batch_skip: None,
             batch_sampled: Vec::new(),
-            batch_offsets: Vec::new(),
             processed: 0,
             full_updates: 0,
             last_absent: 0,
@@ -450,9 +446,9 @@ impl<K: Eq + Hash + Clone> Memento<K> {
     pub fn update_batch(&mut self, keys: &[K]) {
         self.assert_room(keys.len() as u64, "update_batch");
         if self.tau >= 1.0 {
-            self.replay_every_key(keys, |_| 0);
+            self.replay_every_key(keys, |memento, _| memento.window_step());
         } else {
-            self.replay_sampled(keys, |i| i as u64 + 1);
+            self.replay_sampled(keys);
         }
     }
 
@@ -499,15 +495,16 @@ impl<K: Eq + Hash + Clone> Memento<K> {
     /// the two paths are bit-for-bit identical, and they share the carried
     /// skip.
     ///
-    /// Runs on [`Self::update_batch`]'s replay cores with key `i` landing
-    /// at `at[i] = Σ_{j≤i} (gaps[j] + 1)`. At τ ≥ 1 each Full update
-    /// follows a closed-form advance over `gaps[i]`, after one pass sums
-    /// the offsets for the span check. At τ < 1 one offset scan
-    /// fills `at` in a reused buffer, and each sampled key's advance
-    /// covers the foreign gaps, the unsampled own packets before it and
-    /// its own position in one step: `update_batch`'s per-key cost plus
-    /// one scan step. The seed's interleaved loop survives as
-    /// `update_batch_positioned_reference` for the differential tests.
+    /// At τ ≥ 1 — the replay of a shard whose router samples upstream —
+    /// the batch runs on [`Self::update_batch`]'s replay core: after one
+    /// pass sums the offsets for the span check, each key takes one
+    /// closed-form advance over `gaps[i] + 1` positions, the foreign gap
+    /// and its own Window step, and then its recording step. At τ < 1 it
+    /// runs as [`Ingest`](crate::traits::Ingest)'s provided
+    /// `update_batch_positioned` does: one `update_batch` per run of
+    /// zero-gap keys and one [`Self::skip`] per positive gap. The seed's
+    /// interleaved loop survives as `update_batch_positioned_reference`
+    /// for the differential tests.
     ///
     /// # Panics
     /// Panics if `gaps` and `keys` differ in length, if the batch's offsets
@@ -516,37 +513,30 @@ impl<K: Eq + Hash + Clone> Memento<K> {
     /// Every check runs before any state changes.
     pub fn update_batch_positioned(&mut self, gaps: &[u64], keys: &[K]) {
         assert_eq!(gaps.len(), keys.len(), "one gap stamp per key");
-        let offset = |end: u64, gap: u64| {
+        let end = gaps.iter().fold(0u64, |end, &gap| {
             end.checked_add(gap)
                 .and_then(|e| e.checked_add(1))
                 .expect("update_batch_positioned: the batch's gap sum overflows u64")
-        };
-        if self.tau >= 1.0 {
-            let end = gaps.iter().fold(0, |end, &gap| offset(end, gap));
-            self.assert_room(end, "update_batch_positioned");
-            self.replay_every_key(keys, |i| gaps[i]);
-            return;
-        }
-        let mut at = std::mem::take(&mut self.batch_offsets);
-        at.clear();
-        let mut end = 0u64;
-        at.extend(gaps.iter().map(|&gap| {
-            end = offset(end, gap);
-            end
-        }));
+        });
         self.assert_room(end, "update_batch_positioned");
-        self.replay_sampled(keys, |i| at[i]);
-        self.batch_offsets = at;
+        if self.tau >= 1.0 {
+            // `gaps[i] + 1` cannot overflow: the offsets above are checked.
+            self.replay_every_key(keys, |memento, i| memento.advance(gaps[i] + 1));
+        } else {
+            crate::traits::replay_runs(self, gaps, keys);
+        }
     }
 
-    /// The τ ≥ 1 replay core: every key is a Full update after a
-    /// closed-form advance over `gap(i)` foreign positions (constant 0
-    /// from [`Self::update_batch`], where it compiles away). Each key is
-    /// hashed once, when its prefetch is issued [`PREFETCH_LOOKAHEAD`]
-    /// keys early, and the hash rides a ring buffer to the key's probe.
-    /// The caller checks the batch's span up front.
+    /// The τ ≥ 1 replay core: every key is a Full update, `step(self, i)`
+    /// moving the window up to and including key `i`'s position before its
+    /// recording step — one [`Self::window_step`] from
+    /// [`Self::update_batch`], one closed-form advance over the gap and
+    /// the key's own position from [`Self::update_batch_positioned`].
+    /// Each key is hashed once, when its prefetch is issued
+    /// [`PREFETCH_LOOKAHEAD`] keys early, and the hash rides a ring buffer
+    /// to the key's probe. The caller checks the batch's span up front.
     #[inline(always)]
-    fn replay_every_key(&mut self, keys: &[K], gap: impl Fn(usize) -> u64) {
+    fn replay_every_key(&mut self, keys: &[K], step: impl Fn(&mut Self, usize)) {
         let mut hashes = [0u64; PREFETCH_LOOKAHEAD];
         for (j, key) in keys.iter().take(PREFETCH_LOOKAHEAD).enumerate() {
             hashes[j] = hash_one(key);
@@ -559,19 +549,19 @@ impl<K: Eq + Hash + Clone> Memento<K> {
                 self.y.prefetch_hashed(h);
                 hashes[slot] = h;
             }
-            self.advance(gap(i));
-            self.full_update_hashed(key.clone(), Some(hash));
+            step(self, i);
+            self.record_hashed(key.clone(), Some(hash));
         }
     }
 
-    /// The τ < 1 replay core. `end(i)`, strictly increasing, is the
-    /// window offset from the batch start just past key `i`. Advancing to
-    /// `end(idx)` covers what the per-key reference loop owes up to and
-    /// including the sampled key's own Window step (`advance_window(n)`
-    /// is `n` window updates), so the key then needs only its recording
-    /// step. The caller checks the batch's span up front.
+    /// The τ < 1 replay core; key `i` lands at window offset `i + 1` from
+    /// the batch start. Advancing to a sampled key's offset covers what the
+    /// per-key reference loop owes up to and including the key's own
+    /// Window step (`advance_window(n)` is `n` window updates), so the key
+    /// then needs only its recording step. The caller checks the batch's
+    /// span up front.
     #[inline(always)]
-    fn replay_sampled(&mut self, keys: &[K], end: impl Fn(usize) -> u64) {
+    fn replay_sampled(&mut self, keys: &[K]) {
         let mut sampled = std::mem::take(&mut self.batch_sampled);
         sampled.clear();
         let mut skip = match self.batch_skip.take() {
@@ -606,12 +596,12 @@ impl<K: Eq + Hash + Clone> Memento<K> {
                 self.y.prefetch_hashed(h);
                 hashes[slot] = h;
             }
-            let at = end(idx);
+            let at = idx as u64 + 1;
             self.advance(at - done);
             self.record_hashed(keys[idx].clone(), Some(hash));
             done = at;
         }
-        self.skip(keys.len().checked_sub(1).map_or(0, &end) - done);
+        self.skip(keys.len() as u64 - done);
         self.batch_sampled = sampled;
     }
 
@@ -1457,7 +1447,7 @@ mod tests {
         }
     }
 
-    /// With all gaps zero the fused positioned path is bit-for-bit the
+    /// With all gaps zero the positioned path is bit-for-bit the
     /// plain geometric-skip batch path (same RNG draws, same advances).
     #[test]
     fn positioned_batch_with_zero_gaps_equals_update_batch() {

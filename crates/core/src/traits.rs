@@ -140,26 +140,13 @@ pub trait Ingest<T: Clone> {
     /// [`skip`](Self::skip). The observable behaviour is that of the
     /// per-item interleaving `skip(gaps[i]); update(items[i])`, which any
     /// override must preserve; implementors with a cheaper fused path
-    /// (Memento folds the gaps into its geometric-skip sampling walk)
+    /// (Memento at τ = 1 folds each gap into its key's window advance)
     /// override it.
     ///
     /// # Panics
     /// Implementations may assume and assert `gaps.len() == items.len()`.
     fn update_batch_positioned(&mut self, gaps: &[u64], items: &[T]) {
-        assert_eq!(gaps.len(), items.len(), "one gap stamp per item");
-        let mut run_start = 0usize;
-        for (i, &gap) in gaps.iter().enumerate() {
-            if gap > 0 {
-                if run_start < i {
-                    self.update_batch(&items[run_start..i]);
-                }
-                self.skip(gap);
-                run_start = i;
-            }
-        }
-        if run_start < items.len() {
-            self.update_batch(&items[run_start..]);
-        }
+        replay_runs(self, gaps, items);
     }
 
     /// True for interval (landmark-window) algorithms — Space Saving, MST,
@@ -186,6 +173,30 @@ pub trait Ingest<T: Clone> {
     /// Starts a new measurement interval; a no-op for sliding-window
     /// algorithms.
     fn reset_interval(&mut self) {}
+}
+
+/// The provided [`Ingest::update_batch_positioned`], for overrides that
+/// fall back to it: one [`Ingest::update_batch`] per run of zero-gap items
+/// and one [`Ingest::skip`] per positive gap.
+pub(crate) fn replay_runs<T: Clone, I: Ingest<T> + ?Sized>(
+    ingest: &mut I,
+    gaps: &[u64],
+    items: &[T],
+) {
+    assert_eq!(gaps.len(), items.len(), "one gap stamp per item");
+    let mut run_start = 0usize;
+    for (i, &gap) in gaps.iter().enumerate() {
+        if gap > 0 {
+            if run_start < i {
+                ingest.update_batch(&items[run_start..i]);
+            }
+            ingest.skip(gap);
+            run_start = i;
+        }
+    }
+    if run_start < items.len() {
+        ingest.update_batch(&items[run_start..]);
+    }
 }
 
 /// A streaming per-flow frequency estimator, usually over a sliding window:
@@ -265,12 +276,15 @@ impl<K: Eq + Hash + Clone> WindowQuery<K> for Memento<K> {
     fn error_bound(&self) -> f64 {
         // ε_a·W from the counters (Theorem 5.2's algorithm error, one-sided
         // slack included) plus a high-probability bound on the sampling
-        // noise, which scales like √(W/τ).
+        // noise, which scales like √(W/τ). τ is the rate Full updates
+        // arrive at, which an instance sampled upstream (a router-sampled
+        // shard) is configured with, not the coin it flips itself.
+        let rate = self.full_update_rate();
         let algo = 4.0 * self.window() as f64 / self.counters() as f64;
-        let sampling = if self.tau() >= 1.0 {
+        let sampling = if rate >= 1.0 {
             0.0
         } else {
-            4.0 * (self.window() as f64 / self.tau()).sqrt()
+            4.0 * (self.window() as f64 / rate).sqrt()
         };
         algo + sampling
     }
@@ -309,8 +323,7 @@ impl<K: Eq + Hash + Clone> Ingest<K> for Memento<K> {
         Memento::skip(self, n);
     }
 
-    /// The fused gap-aware τ-sampling path
-    /// ([`Memento::update_batch_positioned`]).
+    /// The gap-aware batch path ([`Memento::update_batch_positioned`]).
     #[inline]
     fn update_batch_positioned(&mut self, gaps: &[u64], keys: &[K]) {
         Memento::update_batch_positioned(self, gaps, keys);
@@ -380,7 +393,7 @@ impl<K: Eq + Hash + Clone> Ingest<K> for Wcss<K> {
         Wcss::skip(self, n);
     }
 
-    /// The τ = 1 case of the fused gap-aware path: every own key is a Full
+    /// The τ = 1 case of the gap-aware path: every own key is a Full
     /// update, every gap a bulk advance.
     #[inline]
     fn update_batch_positioned(&mut self, gaps: &[u64], keys: &[K]) {

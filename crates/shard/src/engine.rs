@@ -86,8 +86,17 @@ pub trait Shard: Send + Sized + 'static {
 /// recorded in `crates/bench/EXPERIMENTS.md`.)
 ///
 /// Items travel to the workers as gap-stamped batches over bounded
-/// channels, reusing each algorithm's batch fast path (for Memento, the
-/// geometric skip sampling of §5).
+/// channels, reusing each algorithm's positioned batch path. Where the
+/// τ-sampling happens depends on the constructor. The τ < 1 engines of
+/// [`ShardedEstimator::memento`](crate::ShardedEstimator::memento) and
+/// [`ShardedHhh::h_memento`](crate::ShardedHhh::h_memento) sample at the
+/// router, as the measurement points of the paper's D-Memento (§6) do: the
+/// router draws geometric skips from one table, hashes, routes and
+/// gap-stamps only the sampled items, and counts every other position as
+/// routed to no shard, so it reaches the shards through their gap stamps
+/// and tail skips. Each shard records every item it receives as a Full
+/// update at its global position. An engine built by [`Engine::new`]
+/// routes every item; any sampling is its shards' own.
 ///
 /// **Queries are served from published snapshots**: per the
 /// [`PublishPolicy`], the engine periodically freezes every shard into one
@@ -124,21 +133,19 @@ pub trait Shard: Send + Sized + 'static {
 /// their queues, so nothing hangs: the next shipment to that shard, the
 /// next [`publish_now`](Self::publish_now) and every query that forces a
 /// publication panic within a bounded time with a message that names the
-/// shard's thread. A shipment's panic is raised under the router lock and
-/// poisons it, as above. [`Reader`]s keep answering from the last
-/// published snapshot. Dropping the engine panics naming the shard,
-/// unless the thread is already unwinding, so it never aborts.
+/// shard's thread and ends with the shard's own panic message. A
+/// shipment's panic is raised under the router lock and poisons it, as
+/// above. [`Reader`]s keep answering from the last published snapshot.
+/// Dropping the engine panics naming the shard, unless the thread is
+/// already unwinding, so it never aborts.
 pub struct Engine<A: Shard> {
     workers: Vec<ShardWorker<A>>,
-    /// Gap-stamped buffers and position bookkeeping. Behind a mutex so the
-    /// `&self` query methods can ship them; updates take `&mut self`, so
-    /// the lock is uncontended.
+    /// Gap-stamped buffers, position bookkeeping and the router's
+    /// sampler. Behind a mutex so the `&self` query methods can ship them;
+    /// updates take `&mut self`, so the lock is uncontended.
     state: Mutex<Router<A::Item>>,
     /// Snapshot publication cadence and on-query behaviour.
     policy: PublishPolicy,
-    /// Batches shipped since the last publication (mutated only under the
-    /// router lock; atomic so `&self` query methods can read it).
-    shipped: AtomicUsize,
     /// Freeze rounds actually enqueued to the workers (diagnostics: lets
     /// tests assert the unchanged-engine short circuit skips them).
     freezes: AtomicUsize,
@@ -157,6 +164,7 @@ impl<A: Shard> Engine<A> {
     /// `name` is the stable identifier the query traits report (bench
     /// CSV/JSON output). The engine starts under
     /// [`PublishPolicy::default`]; override with [`Self::with_policy`].
+    /// It routes every item: any sampling happens in the shards.
     ///
     /// # Panics
     /// Panics when `shards` is zero or a factory-built algorithm fails
@@ -183,10 +191,27 @@ impl<A: Shard> Engine<A> {
             workers,
             state: Mutex::new(Router::new(shards)),
             policy: PublishPolicy::default(),
-            shipped: AtomicUsize::new(0),
             freezes: AtomicUsize::new(0),
             hub: Arc::new(hub),
         }
+    }
+
+    /// [`Self::new`] with the τ-sampling at the router when `tau < 1`:
+    /// from a table seeded with `seed`, the positions a Memento with the
+    /// same τ and seed samples. The factory's shards must record every
+    /// shipped item as a Full update and scale their answers by `1/tau`.
+    pub(crate) fn sampled(
+        name: &'static str,
+        shards: usize,
+        tau: f64,
+        seed: u64,
+        factory: impl FnMut(usize) -> A,
+    ) -> Self {
+        let engine = Self::new(name, shards, factory);
+        if tau < 1.0 {
+            engine.lock().sample(tau, seed);
+        }
+        engine
     }
 
     /// Number of shards (worker threads).
@@ -231,7 +256,6 @@ impl<A: Shard> Engine<A> {
         self.workers[shard].send(Box::new(move |algorithm: &mut A| {
             algorithm.replay(&gaps, &items, tail)
         }));
-        self.shipped.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Ships every shard's pending buffer, advancing every shard to the
@@ -243,15 +267,36 @@ impl<A: Shard> Engine<A> {
     }
 
     /// Buffers one routed item; ships the shard's buffer once full, then
-    /// publishes a snapshot if the periodic cadence is due.
+    /// publishes if the periodic cadence is due.
     fn push(&self, state: &mut Router<A::Item>, shard: usize, item: A::Item) {
         if state.push(shard, item, DEFAULT_FLUSH_THRESHOLD) >= DEFAULT_FLUSH_THRESHOLD {
             self.ship_shard(state, shard);
-            if self.policy.every_batches > 0
-                && self.shipped.load(Ordering::Relaxed) >= self.policy.every_batches
-            {
-                self.publish_epoch(state);
-            }
+            self.publish_if_due(state);
+        }
+    }
+
+    /// Publishes a snapshot once the positions routed since the last
+    /// publication, sampled or not, reach [`PublishPolicy::every_batches`]
+    /// flush thresholds. Checked after every shipment and at the end of
+    /// every `update*` call, so positions a sampling router passes over
+    /// bring the publication due without a shipment.
+    fn publish_if_due(&self, state: &mut Router<A::Item>) {
+        let due = self
+            .policy
+            .every_batches
+            .saturating_mul(DEFAULT_FLUSH_THRESHOLD) as u64;
+        if due > 0 && state.unpublished() >= due {
+            self.publish_epoch(state);
+        }
+    }
+
+    /// Routes one candidate item, unless the router's sampler passes over
+    /// it: then its position goes to no shard.
+    fn offer(&self, state: &mut Router<A::Item>, item: A::Item) {
+        if state.pick(0, 1, &mut [0]) == 1 {
+            self.push(state, fasthash::route(&item, self.workers.len()), item);
+        } else {
+            state.advance(1);
         }
     }
 
@@ -262,18 +307,19 @@ impl<A: Shard> Engine<A> {
     /// the hub's stateful assembler apply parts in order).
     ///
     /// **Unchanged-engine short circuit:** every state change since the
-    /// previous publication — buffered items, position advances — turns
-    /// into a shipment during the ship-all above, so `shipped == 0`
-    /// afterwards means the shards are bit-identical to what the last
-    /// freeze round saw. When additionally every allocated epoch has been
-    /// published (no freeze jobs in flight), the latest snapshot is
-    /// re-published under the new epoch, sharing its views, without
-    /// touching a worker. Epoch allocation and the quiescence check both
-    /// happen under the router lock, so no worker delivery can race the
-    /// restamp.
+    /// previous publication — buffered items, position advances — moves
+    /// the global position and turns into a shipment during the ship-all
+    /// above, so no position routed since the last publication means the
+    /// shards are bit-identical to what the last freeze round saw. When
+    /// additionally every allocated epoch has been published (no freeze
+    /// jobs in flight), the latest snapshot is re-published under the new
+    /// epoch, sharing its views, without touching a worker. Epoch
+    /// allocation and the quiescence check both happen under the router
+    /// lock, so no worker delivery can race the restamp.
     fn publish_epoch(&self, state: &mut Router<A::Item>) -> u64 {
         self.ship_all(state);
-        let unchanged = self.shipped.swap(0, Ordering::Relaxed) == 0 && self.hub.quiescent();
+        let unchanged = state.unpublished() == 0 && self.hub.quiescent();
+        state.mark_published();
         let epoch = self.hub.begin_epoch();
         // Nothing published yet (the first publication of an empty engine)
         // makes the restamp refuse: fall through to a real freeze round.
@@ -351,9 +397,9 @@ impl<A: Shard> Engine<A> {
         self.hub.latest().expect("publish_now published an epoch")
     }
 
-    /// Routes one item. `&mut self` rules out concurrent queries, so
-    /// holding the router lock across a (possibly blocking) ship cannot
-    /// deadlock.
+    /// Routes one item: the router samples it first when it samples for
+    /// its shards. `&mut self` rules out concurrent queries, so holding
+    /// the router lock across a (possibly blocking) ship cannot deadlock.
     ///
     /// # Panics
     /// Panics with "update: the stream position overflows u64" when the
@@ -361,10 +407,10 @@ impl<A: Shard> Engine<A> {
     /// changes, and with "router state poisoned" after any panic under
     /// the router lock, this one included (see the [type docs](Self)).
     pub fn update(&mut self, item: A::Item) {
-        let shard = fasthash::route(&item, self.workers.len());
         let mut state = self.lock();
         state.assert_room([1], "update");
-        self.push(&mut state, shard, item);
+        self.offer(&mut state, item);
+        self.publish_if_due(&mut state);
     }
 
     /// Routes a batch, shipping each shard's share in flush-threshold-sized
@@ -373,11 +419,14 @@ impl<A: Shard> Engine<A> {
     /// stamps carry the exact cross-shard positions). Items beyond the last
     /// full message stay buffered until the next update or query.
     ///
-    /// Routes are computed tile-wise: a straight-line pass hashes a fixed
-    /// tile of items into a stack array before the branchy push/ship loop
-    /// consumes them, so the hashing pipelines ahead of the buffer
-    /// bookkeeping instead of serializing with it. Push order — and with it
-    /// every gap stamp — is exactly that of the per-item loop.
+    /// Works tile-wise: the router picks a tile of items to route — the
+    /// sampled ones, found by jumping over geometric skips, when it
+    /// samples; every item otherwise — and a straight-line pass hashes
+    /// their routes into a stack array before the branchy push/ship loop
+    /// consumes them, advancing the global position over the items passed
+    /// over. The hashing pipelines ahead of the buffer bookkeeping instead
+    /// of serializing with it. Push order — and with it every gap stamp —
+    /// is exactly that of the per-item loop.
     ///
     /// # Panics
     /// Panics with "update_batch: the stream position overflows u64" when
@@ -389,26 +438,38 @@ impl<A: Shard> Engine<A> {
         const TILE: usize = 64;
         let mut state = self.lock();
         state.assert_room([items.len() as u64], "update_batch");
-        let mut routes = [0usize; TILE];
-        for tile in items.chunks(TILE) {
-            for (route, item) in routes.iter_mut().zip(tile) {
-                *route = fasthash::route(item, self.workers.len());
+        let (mut picks, mut routes) = ([0usize; TILE], [0usize; TILE]);
+        // Index just past the last routed item.
+        let mut next = 0;
+        loop {
+            let picked = state.pick(next, items.len(), &mut picks);
+            for (route, &i) in routes.iter_mut().zip(&picks[..picked]) {
+                *route = fasthash::route(&items[i], self.workers.len());
             }
-            for (item, &shard) in tile.iter().zip(&routes) {
-                self.push(&mut state, shard, item.clone());
+            for (&i, &shard) in picks[..picked].iter().zip(&routes) {
+                state.advance((i - next) as u64);
+                self.push(&mut state, shard, items[i].clone());
+                next = i + 1;
+            }
+            if picked < TILE {
+                break;
             }
         }
+        state.advance((items.len() - next) as u64);
+        self.publish_if_due(&mut state);
     }
 
     /// Routes a gap-stamped batch: before each item, the *global* stream
-    /// position advances over its gap. Much cheaper than the [`Ingest`]
-    /// default: because the router stamps each entry's gap eagerly at push
-    /// time, advancing the router mid-batch folds the gap into the *next*
-    /// entry's stamp on every shard — no shipment per gap, no per-gap
-    /// worker wakeup. Shards that receive no item after a gap are advanced
-    /// by the trailing skip of their next shipment, as always. Observable
-    /// behaviour is exactly the trait's contract: `skip(gaps[i]);
-    /// update(items[i])` in order.
+    /// position advances over its gap, and the item is then routed as by
+    /// [`Self::update`]. Much cheaper than the [`Ingest`] default: because
+    /// the router stamps each entry's gap eagerly at push time, advancing
+    /// the router mid-batch folds the gap into the *next* entry's stamp on
+    /// every shard — no shipment per gap, no per-gap worker wakeup. Shards
+    /// that receive no item after a gap are advanced by the trailing skip
+    /// of their next shipment, as always. The gaps are foreign positions,
+    /// not candidates, so they never consume the router's carried skip.
+    /// Observable behaviour is exactly the trait's contract:
+    /// `skip(gaps[i]); update(items[i])` in order.
     ///
     /// # Panics
     /// Panics unless `gaps.len() == items.len()`, and with
@@ -419,22 +480,14 @@ impl<A: Shard> Engine<A> {
     /// one included (see the [type docs](Self)).
     pub fn update_batch_positioned(&mut self, gaps: &[u64], items: &[A::Item]) {
         assert_eq!(gaps.len(), items.len(), "one gap stamp per item");
-        const TILE: usize = 64;
         let mut state = self.lock();
         let span = gaps.iter().copied().chain([items.len() as u64]);
         state.assert_room(span, "update_batch_positioned");
-        let mut routes = [0usize; TILE];
-        for (tile, tile_gaps) in items.chunks(TILE).zip(gaps.chunks(TILE)) {
-            for (route, item) in routes.iter_mut().zip(tile) {
-                *route = fasthash::route(item, self.workers.len());
-            }
-            for ((item, &shard), &gap) in tile.iter().zip(&routes).zip(tile_gaps) {
-                if gap > 0 {
-                    state.advance(gap);
-                }
-                self.push(&mut state, shard, item.clone());
-            }
+        for (&gap, item) in gaps.iter().zip(items) {
+            state.advance(gap);
+            self.offer(&mut state, item.clone());
         }
+        self.publish_if_due(&mut state);
     }
 
     /// Advances the global stream position over `n` packets observed
@@ -443,6 +496,8 @@ impl<A: Shard> Engine<A> {
     /// wrapping it. Pending buffers ship first so already-routed items keep
     /// their pre-skip positions; the advance then reaches the shards
     /// through the gap stamps or trailing skips of their next shipments.
+    /// The skipped positions are not candidates: the router's sampler does
+    /// not move.
     ///
     /// # Panics
     /// Panics with "skip: the stream position overflows u64" when the

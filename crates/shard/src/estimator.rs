@@ -87,13 +87,24 @@ impl<K: Eq + Hash + Clone + Send + Sync + 'static> Shard for BoxedEstimator<K> {
 impl<K: Eq + Hash + Clone + Send + Sync + 'static> ShardedEstimator<K> {
     /// A sharded [`Memento`]: every shard keeps a **full `W`-packet window
     /// at the global stream position** with the full `k` counters (same
-    /// `4W/k` error bound as the single instance — the `N×` counter memory
-    /// is the price of full-window coverage per shard), with per-shard
-    /// decorrelated RNG seeds.
+    /// error bound as the single instance — the `N×` counter memory is the
+    /// price of full-window coverage per shard).
+    ///
+    /// At τ < 1 the router samples, with one random-number table seeded
+    /// with `seed`, and ships only the sampled keys. Each shard is a
+    /// Memento at τ = 1 configured for Full updates arriving at rate τ
+    /// ([`Memento::configure_external_sampling`]), which records every
+    /// shipped key at its global position and scales its answers by
+    /// `1/τ`. Every packet is still sampled independently with
+    /// probability τ, and every shard count samples the same positions:
+    /// those a `Memento::new(counters, window, tau, seed)` samples from
+    /// its `update_batch` calls, which a one-shard engine therefore
+    /// answers like bit-for-bit.
     pub fn memento(shards: usize, counters: usize, window: usize, tau: f64, seed: u64) -> Self {
-        Self::new("sharded-memento", shards, move |i| {
-            let shard_seed = seed.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            Box::new(Memento::new(counters, window, tau, shard_seed))
+        Self::sampled("sharded-memento", shards, tau, seed, move |i| {
+            let mut memento = Memento::new(counters, window, 1.0, shard_seed(seed, i));
+            memento.configure_external_sampling(tau, 1.0 / tau);
+            Box::new(memento)
         })
     }
 
@@ -115,6 +126,22 @@ impl<K: Eq + Hash + Clone + Send + Sync + 'static> ShardedEstimator<K> {
             Box::new(ExactWindow::new(window))
         })
     }
+}
+
+/// The stride between consecutive shards' seeds: odd, so shard `i`'s seed
+/// returns to shard 0's only at `i = 2⁶⁴`.
+const SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Shard `shard`'s seed in an engine seeded `seed`: decorrelated across
+/// shards, and `seed` itself for shard 0.
+pub(crate) fn shard_seed(seed: u64, shard: usize) -> u64 {
+    seed.wrapping_add((shard as u64).wrapping_mul(SEED_STRIDE))
+}
+
+/// A seed that no shard of an engine seeded `seed` gets: one stride below
+/// shard 0's, which [`shard_seed`] reaches only at shard `2⁶⁴ − 1`.
+pub(crate) fn spare_seed(seed: u64) -> u64 {
+    seed.wrapping_sub(SEED_STRIDE)
 }
 
 impl<K: Eq + Hash + Clone + Send + Sync + 'static> SlidingWindowEstimator<K>
@@ -235,6 +262,51 @@ mod tests {
             assert_eq!(sharded.estimate(&key), Memento::estimate(&single, &key));
         }
         assert_eq!(sharded.processed(), single.processed());
+    }
+
+    #[test]
+    fn router_sampled_engines_report_the_sampled_error_bound() {
+        // The shards run at τ = 1 and receive Full updates at rate τ: the
+        // bound keeps the single instance's sampling term.
+        let single = WindowQuery::error_bound(&Memento::<u64>::new(256, 40_000, 0.25, 7));
+        for shards in [1, 2, 4] {
+            let sharded: ShardedEstimator<u64> =
+                ShardedEstimator::memento(shards, 256, 40_000, 0.25, 7);
+            assert_eq!(sharded.error_bound().to_bits(), single.to_bits());
+            assert_eq!(sharded.reader().error_bound().to_bits(), single.to_bits());
+        }
+    }
+
+    #[test]
+    fn periodic_publication_counts_routed_positions() {
+        // Every 8 flush thresholds of positions, sampled or not, checked
+        // after each shipment and at the end of each ingest call: with
+        // calls of a quarter of that, exactly on every fourth call at any
+        // τ. At τ = 2⁻¹⁰ no buffer fills in this stream, so a check at
+        // shipments alone would never publish.
+        let due = (8 * crate::DEFAULT_FLUSH_THRESHOLD) as u64;
+        let policy = PublishPolicy {
+            every_batches: 8,
+            on_query: false,
+        };
+        let keys: Vec<u64> = (0..1_000_000u64).map(|i| (i * 7) % 5_003).collect();
+        let fed = keys.len() as u64;
+        for tau in [1.0, 0.25, 1.0 / 1024.0] {
+            let mut batched: ShardedEstimator<u64> =
+                ShardedEstimator::memento(1, 64, 50_000, tau, 3).with_policy(policy);
+            for part in keys.chunks(2 * crate::DEFAULT_FLUSH_THRESHOLD) {
+                batched.update_batch(part);
+            }
+            assert_eq!(batched.publish_now() - 1, fed / due, "tau {tau}");
+            assert_eq!(batched.reader().processed(), fed);
+            // One item per call: due exactly at every multiple.
+            let mut single: ShardedEstimator<u64> =
+                ShardedEstimator::memento(1, 64, 50_000, tau, 3).with_policy(policy);
+            for &key in &keys[..100_000] {
+                single.update(key);
+            }
+            assert_eq!(single.publish_now() - 1, 100_000 / due, "tau {tau}");
+        }
     }
 
     #[test]

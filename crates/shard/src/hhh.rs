@@ -5,6 +5,7 @@ use memento_core::{FrozenHhh, HMemento};
 use memento_hierarchy::Hierarchy;
 
 use crate::engine::{Assembler, Engine, Reader, Shard};
+use crate::estimator::{shard_seed, spare_seed};
 
 /// Sliding-window hierarchical heavy hitters scaled across worker threads:
 /// the [`Engine`] over [`HMemento`] shards.
@@ -79,6 +80,17 @@ where
     /// at the global stream position with the full `k` counters (same error
     /// bound as the single instance; the `N×` counter memory is the price
     /// of full-window coverage per shard).
+    ///
+    /// At τ < 1 the router samples, as for
+    /// [`ShardedEstimator::memento`](crate::ShardedEstimator::memento), and
+    /// each shard is built by [`HMemento::with_upstream_sampling`]: it
+    /// records every shipped item as a Full update of one random prefix
+    /// and scales by `V = H/τ`. The shards draw the prefix levels from
+    /// their own per-shard tables and the router draws its skips from a
+    /// table that no shard reads (seeded one seed stride below shard 0),
+    /// so each sampled item's level is independent of the gap before it.
+    /// Read from shard 0's table, as the estimator's router does, the
+    /// entry that set an item's gap would also set its level.
     pub fn h_memento(
         hier: Hi,
         shards: usize,
@@ -88,9 +100,10 @@ where
         delta: f64,
         seed: u64,
     ) -> Self {
-        Self::new("sharded-h-memento", shards, move |i| {
-            let shard_seed = seed.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            HMemento::new(hier.clone(), counters, window, tau, delta, shard_seed)
+        let router_seed = spare_seed(seed);
+        Self::sampled("sharded-h-memento", shards, tau, router_seed, move |i| {
+            let seed = shard_seed(seed, i);
+            HMemento::with_upstream_sampling(hier.clone(), counters, window, tau, delta, seed)
         })
     }
 }
@@ -149,6 +162,89 @@ mod tests {
         // count (each per-shard estimate is an upper bound on its share).
         assert!(sharded.estimate(&Prefix1D::new(addr(10, 0, 0, 0), 8)) >= window as f64 * 0.5);
         assert!(!sharded.is_interval());
+    }
+
+    #[test]
+    fn router_sampled_shards_record_a_tau_share_and_find_the_planted_subnet() {
+        let (window, tau) = (40_000, 0.25);
+        // Half the traffic from hosts of 10.0.0.0/8, the rest scattered.
+        let items: Vec<u32> = (0..2 * window as u32)
+            .map(|i| {
+                if i % 2 == 0 {
+                    addr(10, (i % 199) as u8, (i % 251) as u8, (i % 13) as u8)
+                } else {
+                    addr(20 + (i % 97) as u8, (i % 231) as u8, (i % 11) as u8, 1)
+                }
+            })
+            .collect();
+        for shards in [1, 2, 4] {
+            let mut sharded =
+                ShardedHhh::h_memento(SrcHierarchy, shards, 4_096, window, tau, 0.01, 3);
+            sharded.update_batch(&items);
+            let processed = sharded.processed();
+            assert_eq!(processed, items.len() as u64);
+            // Every shipped item is one Full update: their sum over the
+            // shards is the router's sample.
+            let full: u64 = (0..shards)
+                .map(|s| sharded.query_via_fifo(s, |hm| hm.full_updates()))
+                .sum();
+            let n = processed as f64;
+            let sigma = (tau * (1.0 - tau) / n).sqrt();
+            let rate = full as f64 / n;
+            assert!(
+                (rate - tau).abs() <= 4.0 * sigma,
+                "{shards} shards sampled {rate}, tau {tau}"
+            );
+            let output = sharded.output(0.3);
+            assert!(
+                output.contains(&Prefix1D::new(addr(10, 0, 0, 0), 8)),
+                "{shards} shards: planted /8 missing from {output:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn router_sampled_levels_do_not_depend_on_the_gap_before() {
+        // One shard, one address: after each packet, the prefix whose
+        // estimate grew is the level of a sampled packet. Levels must be
+        // uniform both after a zero gap and after a positive one; a router
+        // reading shard 0's table would give every zero-gap sample (a
+        // table entry above 1 − τ) one of the top levels.
+        let item = addr(10, 1, 2, 3);
+        let h = SrcHierarchy.h();
+        let prefixes: Vec<Prefix1D> = (0..h).map(|l| SrcHierarchy.prefix_at(item, l)).collect();
+        // A window and block longer than the stream: no estimate moves
+        // except on a Full update.
+        let mut sharded = ShardedHhh::h_memento(SrcHierarchy, 1, 64, 1 << 22, 0.25, 0.01, 3);
+        let mut before = vec![0.0; h];
+        let (mut gap, mut levels) = (0u64, [vec![0u64; h], vec![0u64; h]]);
+        for _ in 0..16_000 {
+            sharded.update(item);
+            let prefixes = prefixes.clone();
+            let after = sharded.query_via_fifo(0, move |hm| {
+                prefixes.iter().map(|p| hm.estimate(p)).collect::<Vec<_>>()
+            });
+            match (0..h).find(|&l| after[l] != before[l]) {
+                Some(level) => {
+                    levels[usize::from(gap > 0)][level] += 1;
+                    gap = 0;
+                }
+                None => gap += 1,
+            }
+            before = after;
+        }
+        for (after_gap, counts) in levels.iter().enumerate() {
+            let n = counts.iter().sum::<u64>() as f64;
+            let p = 1.0 / h as f64;
+            let sigma = (n * p * (1.0 - p)).sqrt();
+            for (level, &count) in counts.iter().enumerate() {
+                assert!(
+                    (count as f64 - n * p).abs() <= 4.0 * sigma,
+                    "level {level}: {count} of {n} samples after a gap > 0: {}",
+                    after_gap == 1
+                );
+            }
+        }
     }
 
     #[test]

@@ -42,9 +42,19 @@
 //!   partition is (a count-based `W/N` window of a shard's own packets
 //!   does not: the shard owning a dominant flow would cover far less
 //!   than `W` global packets);
-//! * feed shards *batches* over bounded channels, reusing each algorithm's
-//!   `update_batch` fast path (for Memento, the geometric skip sampling of
-//!   §5) and getting backpressure for free;
+//! * **sample before routing** at τ < 1, as the measurement points of the
+//!   paper's D-Memento (§6) do: the τ < 1 engines of
+//!   [`ShardedEstimator::memento`] and [`ShardedHhh::h_memento`] draw
+//!   geometric skips at the router from one random-number table (the
+//!   draws of Memento's batch path, §5), hash, route and gap-stamp only
+//!   the sampled keys, and count every other packet as a position routed
+//!   to no shard, which reaches the shards through their gap stamps and
+//!   tail skips. Each shard records every key it receives as a Full
+//!   update at its global position (a Memento shard with one
+//!   closed-form window advance per key). Engines built by
+//!   [`Engine::new`] route every key;
+//! * feed shards *batches* over bounded channels, through each algorithm's
+//!   positioned batch path, and get backpressure for free;
 //! * **merge** per-shard answers at query time: route per-flow queries to
 //!   the owning shard, union heavy-hitter sets, sum prefix estimates (HHH
 //!   candidates are collected at `θ/N` per shard and re-validated against

@@ -3,32 +3,97 @@
 //! Tracks the position of the *combined* stream and buffers each shard's
 //! entries with per-entry gap stamps, so a worker can replay its share of
 //! the stream at the exact global positions — the correctness-critical
-//! core of the global-position window design (see the crate docs).
+//! core of the global-position window design (see the crate docs). A
+//! router built for τ-sampling also draws the sample, as the measurement
+//! points of the paper's D-Memento (§6) do: only sampled entries are
+//! buffered, and every other position goes to no shard.
+
+use memento_sketches::TableSampler;
 
 /// Per-shard gap-stamped buffers plus global-position bookkeeping.
 pub(crate) struct Router<T> {
     /// Per-shard buffers of entries not yet shipped to the workers.
     entries: Vec<Vec<T>>,
     /// Per-shard gap stamps, parallel to `entries`: `gaps[s][i]` packets
-    /// went to other shards immediately before `entries[s][i]`.
+    /// went to other shards, or to none, immediately before
+    /// `entries[s][i]`.
     gaps: Vec<Vec<u64>>,
     /// Per-shard position anchor: the global position of the shard's last
     /// buffered entry, or — when its buffer is empty — the position its
     /// worker was advanced to by its last shipment.
     anchor: Vec<u64>,
-    /// Global stream position: every packet routed through the engine plus
-    /// every position injected via the engine-level `skip`.
+    /// Global stream position: every packet routed through the engine,
+    /// sampled or not, plus every position injected via the engine-level
+    /// `skip`.
     routed: u64,
+    /// Global stream position at the last publication.
+    published: u64,
+    /// The τ-sampler when the router samples for its shards, `None` when
+    /// every entry is routed.
+    sampler: Option<Sampler>,
+}
+
+/// The router's τ-sampler: geometric skips drawn from one random-number
+/// table through its skip cache ([`TableSampler::next_skip`]), the draw
+/// [`Memento::update_batch`](memento_core::Memento::update_batch) makes.
+struct Sampler {
+    table: TableSampler,
+    /// Candidate positions to pass over before the next sampled one,
+    /// carried across calls.
+    skip: u64,
 }
 
 impl<T> Router<T> {
+    /// A router over `shards` shards that routes every entry.
     pub(crate) fn new(shards: usize) -> Self {
         Router {
             entries: (0..shards).map(|_| Vec::new()).collect(),
             gaps: (0..shards).map(|_| Vec::new()).collect(),
             anchor: vec![0; shards],
             routed: 0,
+            published: 0,
+            sampler: None,
         }
+    }
+
+    /// Samples the candidate entries at rate `tau` from here on, from a
+    /// table seeded with `seed`: the positions a
+    /// [`Memento`](memento_core::Memento) built with the same τ and seed
+    /// samples from its `update_batch` calls.
+    pub(crate) fn sample(&mut self, tau: f64, seed: u64) {
+        let mut table = TableSampler::with_seed(tau, seed);
+        let skip = table.next_skip();
+        self.sampler = Some(Sampler { table, skip });
+    }
+
+    /// Fills `picks` with the indices, within a batch of `len` candidates,
+    /// of the next ones to route from index `from` on, and returns how
+    /// many it filled. Without a sampler every candidate is picked.
+    /// Candidates are consumed up to the last pick, and up to `len` when
+    /// fewer than `picks.len()` were picked. The global position does not
+    /// move: the caller advances over the candidates it was not handed.
+    pub(crate) fn pick(&mut self, from: usize, len: usize, picks: &mut [usize]) -> usize {
+        let Some(sampler) = &mut self.sampler else {
+            let n = picks.len().min(len - from);
+            for (pick, i) in picks.iter_mut().zip(from..from + n) {
+                *pick = i;
+            }
+            return n;
+        };
+        let (mut next, mut n) = (from, 0);
+        while n < picks.len() {
+            let remaining = (len - next) as u64;
+            if sampler.skip >= remaining {
+                sampler.skip -= remaining;
+                break;
+            }
+            next += sampler.skip as usize;
+            picks[n] = next;
+            n += 1;
+            next += 1;
+            sampler.skip = sampler.table.next_skip();
+        }
+        n
     }
 
     /// Stamps `entry` with its gap since the shard's previous entry and
@@ -68,11 +133,23 @@ impl<T> Router<T> {
         }
     }
 
-    /// Advances the global stream position over `n` packets observed
-    /// outside the engine (callers ship pending buffers first so
-    /// already-routed entries keep their pre-skip positions).
+    /// Advances the global stream position over `n` packets that go to no
+    /// shard: unsampled candidates, or packets observed outside the engine
+    /// (callers ship pending buffers first so already-routed entries keep
+    /// their pre-skip positions).
     pub(crate) fn advance(&mut self, n: u64) {
         self.routed += n;
+    }
+
+    /// Global positions routed since the last publication: zero means no
+    /// shard has changed since.
+    pub(crate) fn unpublished(&self) -> u64 {
+        self.routed - self.published
+    }
+
+    /// Marks the current global position as published.
+    pub(crate) fn mark_published(&mut self) {
+        self.published = self.routed;
     }
 
     /// Panics, naming `caller`, unless the global stream position can move

@@ -5,10 +5,10 @@
 //! worker thread and stalls behind whatever batches are in flight. This
 //! module is the publication subsystem that replaces that path:
 //!
-//! 1. every `PublishPolicy::every_batches` shipped batches (and on
-//!    `publish_now`), the engine ships all shard buffers — synchronizing
-//!    every shard to the current global stream position — and enqueues one
-//!    *freeze job* per worker FIFO;
+//! 1. every `PublishPolicy::every_batches` flush thresholds of routed
+//!    positions (and on `publish_now`), the engine ships all shard
+//!    buffers — synchronizing every shard to the current global stream
+//!    position — and enqueues one *freeze job* per worker FIFO;
 //! 2. each worker freezes its shard — an estimator shard an incremental
 //!    [`WindowPatch`] covering only the slots dirtied since its previous
 //!    freeze, an HHH shard a full [`FrozenHhh`] — and delivers it to the
@@ -27,12 +27,18 @@
 //!    publication's pointer store.
 //!
 //! **Staleness bound.** A reader's answer reflects the stream as of the
-//! latest published epoch, which the ingest path refreshes at least every
-//! `every_batches` shipped batches: readers lag ingest by at most one
-//! publication interval (plus whatever is still buffered in the router,
-//! at most one ship threshold per shard). The engine's own trait queries
-//! publish first by default ([`PublishPolicy::on_query`]), which restores
-//! the old flush-then-read semantics exactly.
+//! latest published epoch, which the ingest path requests once
+//! `every_batches` flush thresholds of positions have been routed, checked
+//! after every shipment and at the end of every `update*` call: a request
+//! comes at most one such call past the interval. It is published once
+//! every worker has replayed the shipments queued ahead of its freeze job,
+//! at most [`crate::DEFAULT_QUEUE_DEPTH`] per shard. A shipment holds at
+//! most one flush threshold of routed keys, which at a router sampling at
+//! τ span about `1/τ` thresholds of positions, so what readers lag by
+//! beyond the interval is the positions ingested while the workers drain
+//! those queues. The engine's own trait queries publish first by default
+//! ([`PublishPolicy::on_query`]), which restores the old flush-then-read
+//! semantics exactly.
 //!
 //! **Why epochs complete in order.** Freeze jobs ride the same per-shard
 //! FIFOs as updates, so shard `s` delivers epoch `e` before `e+1`. An epoch
@@ -60,12 +66,22 @@ use memento_sketches::fasthash;
 /// on-query behaviour makes the staleness trade-off explicit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PublishPolicy {
-    /// Publish a fresh snapshot after this many shipped per-shard batches.
-    /// `0` disables periodic publication (snapshots then appear only on
-    /// `publish_now` / on-query publishes). The default of 64 batches keeps
-    /// readers within ~64 × [`crate::DEFAULT_FLUSH_THRESHOLD`] packets of
-    /// the ingest frontier while costing the ingest path well under a
-    /// percent.
+    /// Publish a fresh snapshot once this many
+    /// [`crate::DEFAULT_FLUSH_THRESHOLD`]s of global stream positions have
+    /// been routed since the last publication, checked after every
+    /// shipment and at the end of every `update*` call. Every position
+    /// counts, whichever shard it went to and whether or not a router that
+    /// samples passed over it, so the interval is a number of packets at
+    /// every shard count and τ, overshot by at most one such call. `0`
+    /// disables periodic publication (snapshots then appear only on
+    /// `publish_now` / on-query publishes). The default of 64 requests a
+    /// publication every ~64 × [`crate::DEFAULT_FLUSH_THRESHOLD`] packets
+    /// while costing the ingest path well under a percent. Readers lag
+    /// that plus the positions ingested while the workers drain the
+    /// shipments queued ahead of the freeze job; a shipment of sampled
+    /// keys spans about `1/τ` flush thresholds of positions, and the
+    /// producer routes faster as τ falls, so this lag in packets grows as
+    /// the router's τ falls.
     pub every_batches: usize,
     /// When `true` (the default), the engine's *own* query methods
     /// (`estimate`, `heavy_hitters`, `output`, `processed`) force a

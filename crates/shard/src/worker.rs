@@ -8,7 +8,10 @@
 //! The bounded channel doubles as backpressure: a producer that outruns its
 //! workers blocks instead of queueing unbounded batches.
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
 /// A unit of work executed on the worker thread against the shard state.
@@ -22,12 +25,17 @@ pub(crate) type Job<S> = Box<dyn FnOnce(&mut S) + Send + 'static>;
 /// A job that panics ends the thread, which drops the channel's receiver
 /// and every job still queued, reply channels included. No wait on a dead
 /// worker can hang: `send` and `call` fail at once, or as soon as the
-/// thread dies, and each of the three failure panics names the thread.
+/// thread dies, and each of the three failure panics names the thread and
+/// ends with the job's own panic message, which the thread records before
+/// it unwinds.
 #[derive(Debug)]
 pub(crate) struct ShardWorker<S: Send + 'static> {
     name: String,
     tx: Option<SyncSender<Job<S>>>,
     handle: Option<JoinHandle<()>>,
+    /// The message of the panic that ended the thread, set before the
+    /// thread drops its receiver.
+    cause: Arc<OnceLock<String>>,
 }
 
 impl<S: Send + 'static> ShardWorker<S> {
@@ -35,11 +43,13 @@ impl<S: Send + 'static> ShardWorker<S> {
     pub(crate) fn spawn(name: String, depth: usize, mut state: S) -> Self {
         assert!(depth > 0, "job queue depth must be positive");
         let (tx, rx): (SyncSender<Job<S>>, Receiver<Job<S>>) = sync_channel(depth);
+        let cause = Arc::new(OnceLock::new());
+        let recorded = Arc::clone(&cause);
         let handle = std::thread::Builder::new()
             .name(name.clone())
             .spawn(move || {
                 while let Ok(job) = rx.recv() {
-                    job(&mut state);
+                    recording(&recorded, || job(&mut state));
                 }
             })
             .expect("failed to spawn shard worker thread");
@@ -47,7 +57,15 @@ impl<S: Send + 'static> ShardWorker<S> {
             name,
             tx: Some(tx),
             handle: Some(handle),
+            cause,
         }
+    }
+
+    /// Panics naming the worker, what failed, and the panic that ended its
+    /// thread.
+    fn fail(&self, what: &str) -> ! {
+        let cause = self.cause.get().map_or("", String::as_str);
+        panic!("shard worker {} {what}: {cause}", self.name)
     }
 
     /// Enqueues a fire-and-forget job (the update hot path). Blocks when the
@@ -60,7 +78,7 @@ impl<S: Send + 'static> ShardWorker<S> {
             .as_ref()
             .expect("shard worker already shut down")
             .send(job)
-            .unwrap_or_else(|_| panic!("shard worker {} hung up: it panicked", self.name));
+            .unwrap_or_else(|_| self.fail("hung up: it panicked"));
     }
 
     /// Runs `f` on the worker thread after all previously enqueued jobs and
@@ -74,13 +92,38 @@ impl<S: Send + 'static> ShardWorker<S> {
         F: FnOnce(&mut S) -> R + Send + 'static,
     {
         let (rtx, rrx) = sync_channel(1);
+        let recorded = Arc::clone(&self.cause);
         self.send(Box::new(move |state| {
-            // The receiver outlives the job unless the caller panicked;
-            // either way a failed send must not take the worker down.
-            let _ = rtx.send(f(state));
+            // Recording inside the job keeps the reply sender alive until
+            // the cause of a panic in `f` is set: its drop is what wakes
+            // the caller. The receiver outlives the job unless the caller
+            // panicked; either way a failed send must not take the worker
+            // down.
+            let _ = rtx.send(recording(&recorded, || f(state)));
         }));
         rrx.recv()
-            .unwrap_or_else(|_| panic!("shard worker {} dropped a call: it panicked", self.name))
+            .unwrap_or_else(|_| self.fail("dropped a call: it panicked"))
+    }
+}
+
+/// Runs `job`; when it panics, records the panic's message in `cause`
+/// before the unwind resumes.
+fn recording<R>(cause: &OnceLock<String>, job: impl FnOnce() -> R) -> R {
+    catch_unwind(AssertUnwindSafe(job)).unwrap_or_else(|payload| {
+        let _ = cause.set(panic_message(&*payload));
+        resume_unwind(payload)
+    })
+}
+
+/// The text of a panic payload: `panic!` with arguments carries a
+/// `String`, a literal message a `&str`.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(message) = payload.downcast_ref::<String>() {
+        message.clone()
+    } else if let Some(message) = payload.downcast_ref::<&str>() {
+        (*message).to_string()
+    } else {
+        "a non-string panic payload".to_string()
     }
 }
 
@@ -92,7 +135,7 @@ impl<S: Send + 'static> Drop for ShardWorker<S> {
             // Propagating a worker panic here would abort during unwinding;
             // report it instead.
             if handle.join().is_err() && !std::thread::panicking() {
-                panic!("shard worker {} panicked", self.name);
+                self.fail("panicked");
             }
         }
     }
@@ -119,6 +162,25 @@ mod tests {
             worker.send(Box::new(|s| *s += 1));
         }
         assert_eq!(worker.call(|s| *s), 1000);
+    }
+
+    #[test]
+    fn a_panic_in_a_call_reaches_the_caller_and_the_drop() {
+        let worker: ShardWorker<u64> = ShardWorker::spawn("boom".into(), 2, 0);
+        let failed = catch_unwind(AssertUnwindSafe(|| {
+            worker.call(|_| -> u64 { panic!("call fault") })
+        }))
+        .expect_err("the call returned");
+        assert_eq!(
+            panic_message(&*failed),
+            "shard worker boom dropped a call: it panicked: call fault"
+        );
+        let dropped =
+            catch_unwind(AssertUnwindSafe(move || drop(worker))).expect_err("the drop returned");
+        assert_eq!(
+            panic_message(&*dropped),
+            "shard worker boom panicked: call fault"
+        );
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! through their job queues, and a dead worker's queue is closed, so a
 //! shard that panics — replaying an item, in `skip`, or freezing its part —
 //! makes `publish_now`, the queries that force a publication and the
-//! engine's drop panic with a message that names the shard, while readers
-//! keep answering from the last published snapshot.
+//! engine's drop panic with a message that names the shard and carries the
+//! shard's own panic message, while readers keep answering from the last
+//! published snapshot.
 //!
 //! Every scenario runs on a spawned thread, and the test waits for its
 //! outcome with a bounded `recv_timeout`: a regression to a hang fails the
@@ -179,14 +180,14 @@ fn check(fail: fn(&ShardedEstimator<u64>), drop_at: DropAt) {
         for shards in SHARDS {
             let outcome = run(fault, shards, fail, drop_at);
             let shard = format!("faulty-shard-{}", fasthash::route(&POISON, shards));
+            let cause = format!("{fault:?} fault injected");
             let case = format!("{fault:?} at {shards} shards, {drop_at:?}");
-            assert!(
-                outcome.failed.contains(&shard),
-                "{case}: {}",
-                outcome.failed
-            );
-            if let Some(dropped) = &outcome.dropped {
-                assert!(dropped.contains(&shard), "{case}: {dropped}");
+            for failed in [Some(&outcome.failed), outcome.dropped.as_ref()]
+                .into_iter()
+                .flatten()
+            {
+                assert!(failed.contains(&shard), "{case}: {failed}");
+                assert!(failed.contains(&cause), "{case}: {failed}");
             }
             let reader = outcome.reader;
             assert_eq!(reader.latest().expect("published").epoch(), 1, "{case}");

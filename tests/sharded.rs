@@ -14,6 +14,16 @@ use proptest::prelude::*;
 /// The shard counts the acceptance criteria call out.
 const SHARD_SWEEP: [usize; 3] = [1, 2, 4];
 
+/// Case count, honoring the nightly fuzz job's `PROPTEST_CASES` (the
+/// vendored proptest stand-in has no built-in env support; the PR-gating
+/// default stays low).
+fn cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
+}
+
 /// A skewed stream over a 10-key universe: key 0 dominates (~60% of
 /// packets), a few warm keys share most of the rest. This is exactly the
 /// distribution under which count-based `W/N` shard windows used to
@@ -31,7 +41,7 @@ fn skewed_stream(max_len: usize) -> impl Strategy<Value = Vec<u64>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(cases(16)))]
 
     /// `skip(n)` on Memento/WCSS is bit-for-bit `n` unrecorded
     /// `window_update()` calls, at any τ, alignment and overflow state.
@@ -222,6 +232,101 @@ proptest! {
                 "exact counts diverge for key {} at {} shards", key, shards
             );
         }
+    }
+}
+
+/// Feeds `stream` to `engine` in the chunk lengths of `calls`, cycling
+/// through them, each chunk through the entry point its tag names: 0
+/// per-key `update`, 1 `update_batch`, otherwise a zero-gap
+/// `update_batch_positioned`.
+fn feed(engine: &mut ShardedEstimator<u64>, stream: &[u64], calls: &[(u8, usize)]) {
+    let mut at = 0;
+    for &(call, len) in calls.iter().cycle() {
+        if at == stream.len() {
+            break;
+        }
+        let part = &stream[at..(at + len).min(stream.len())];
+        match call {
+            0 => part.iter().for_each(|&key| engine.update(key)),
+            1 => engine.update_batch(part),
+            _ => engine.update_batch_positioned(&vec![0; part.len()], part),
+        }
+        at += part.len();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(16)))]
+
+    /// At τ < 1 the router samples, from a table seeded with the engine
+    /// seed, the positions `Memento::update_batch` samples with the same
+    /// seed, and carries its skip across calls as the batch path does. A
+    /// one-shard engine fed through any mix of `update`, `update_batch`
+    /// and zero-gap `update_batch_positioned`, in any chunking, therefore
+    /// answers bit-for-bit like one Memento fed by `update_batch`, past
+    /// the window and through Space-Saving evictions.
+    #[test]
+    fn one_shard_router_sampling_matches_memento_update_batch(
+        stream in skewed_stream(3_000),
+        calls in prop::collection::vec((0u8..3, 1usize..700), 1..12),
+        tau_exp in 1u32..5,
+        seed in 0u64..1_000,
+    ) {
+        let (window, counters) = (700, 9);
+        let tau = 0.5f64.powi(tau_exp as i32);
+        let mut engine: ShardedEstimator<u64> =
+            ShardedEstimator::memento(1, counters, window, tau, seed);
+        let mut single: Memento<u64> = Memento::new(counters, window, tau, seed);
+        feed(&mut engine, &stream, &calls);
+        single.update_batch(&stream);
+        prop_assert_eq!(engine.processed(), single.processed());
+        for key in 0u64..10 {
+            prop_assert_eq!(
+                engine.estimate(&key).to_bits(),
+                single.estimate(&key).to_bits(),
+                "key {} at tau {}", key, tau
+            );
+        }
+        let bits = |mut hh: Vec<(u64, f64)>| {
+            hh.sort_by_key(|&(key, _)| key);
+            hh.into_iter().map(|(key, f)| (key, f.to_bits())).collect::<Vec<_>>()
+        };
+        for threshold in [0.0, 0.1 * window as f64] {
+            prop_assert_eq!(
+                bits(engine.heavy_hitters(threshold)),
+                bits(single.heavy_hitters(threshold))
+            );
+        }
+    }
+
+    /// Every shard count samples the same positions, so within the window
+    /// (no expiry) and with counters covering the key universe (no
+    /// eviction), each key's shard records exactly the Full updates a
+    /// one-shard engine records for it: estimates are bit-identical at 1,
+    /// 2 and 4 shards. Past `W` they are not, because which keys share a
+    /// shard's overflow queues decides when their overflows retire.
+    #[test]
+    fn router_sampled_estimates_do_not_depend_on_the_shard_count(
+        stream in skewed_stream(6_000),
+        tau_exp in 1u32..5,
+        seed in 0u64..1_000,
+    ) {
+        let (window, counters) = (8_000, 40);
+        let tau = 0.5f64.powi(tau_exp as i32);
+        let estimates: Vec<Vec<u64>> = SHARD_SWEEP
+            .iter()
+            .map(|&shards| {
+                let mut engine: ShardedEstimator<u64> =
+                    ShardedEstimator::memento(shards, counters, window, tau, seed);
+                for part in stream.chunks(997) {
+                    engine.update_batch(part);
+                }
+                assert_eq!(engine.processed(), stream.len() as u64);
+                (0u64..10).map(|key| engine.estimate(&key).to_bits()).collect()
+            })
+            .collect();
+        prop_assert_eq!(&estimates[0], &estimates[1], "1 vs 2 shards at tau {}", tau);
+        prop_assert_eq!(&estimates[0], &estimates[2], "1 vs 4 shards at tau {}", tau);
     }
 }
 
